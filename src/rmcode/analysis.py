@@ -13,7 +13,7 @@ from .codes import (
     DEFAULT_SUBSPACE_BUDGET,
     code_of_degree,
     enumeration_budget,
-    footprint,
+    footprint_matrix,
     ghw,
     min_distance,
     weight_matrix,
@@ -24,8 +24,8 @@ from .duality import (
     gorenstein_selfdual_classify,
     self_dual_report,
 )
-from .errors import BudgetExceeded, ParseError
-from .groebner import minimal_generator_count, standard_monomials_upto
+from .errors import BudgetExceeded, InvalidParams, ParseError
+from .groebner import minimal_generator_count
 from .indicators import standard_indicators
 from .polyring import GREVLEX, TermOrder, format_monomial, parse_poly
 from .variety import (
@@ -110,6 +110,12 @@ def analyze_text(text, req=None):
     gb = vanishing_ideal(X, order)
     hd = hilbert_data(gb, X.m, nvars=s)
     symmetry_equiv_check(hd)
+    for d, r in req.ghw_cells:
+        if d < 1:
+            raise InvalidParams(f"ghw cell {d},{r}: d must be at least 1")
+        k = hd.H[d] if d <= hd.r0 else X.m
+        if not 1 <= r <= k:
+            raise InvalidParams(f"ghw cell {d},{r}: r must be in 1..{k} = dim C_X({d})")
     isx = standard_indicators(X, gb)
     mingens = minimal_generator_count(gb, hd.r0)
 
@@ -150,24 +156,20 @@ def analyze_text(text, req=None):
                 negatives.append("budget")
         report["codes"]["ghw"] = cells
 
+    fp = None
+    if req.footprint_matrix or req.weights:
+        fp = footprint_matrix(X, gb, hd.r0, budget=budget)
     if req.footprint_matrix:
-        fp_budget = budget if budget is not None else enumeration_budget(
-            DEFAULT_SUBSPACE_BUDGET
-        )
-        fp = {}
-        for d in range(1, hd.r0 + 1):
-            width = len(standard_monomials_upto(gb, s, d)[d])
-            row = [
-                footprint(gb, d, r, nvars=s)
-                if comb(width, r) <= fp_budget
-                else f"budget_exceeded({comb(width, r)})"
-                for r in range(1, width + 1)
+        report["codes"]["footprint"] = {
+            d: [
+                v if v is not None else f"budget_exceeded({comb(len(row), r)})"
+                for r, v in enumerate(row, 1)
             ]
-            fp[d] = row
-        report["codes"]["footprint"] = fp
+            for d, row in enumerate(fp, 1)
+        }
 
     if req.weights:
-        wm = weight_matrix(X, gb, hd, isx, budget=budget)
+        wm = weight_matrix(X, gb, hd, isx, budget=budget, fp=fp)
         report["codes"]["weight_matrix"] = wm.as_dict()
         report["codes"]["weight_matrix_rendered"] = wm.render().splitlines()
 

@@ -132,6 +132,8 @@ def cmd_analyze(args):
             d, r = spec.split(",")
             cells.append((int(d), int(r)))
         order = _parse_order(args.order) if args.order else None
+        if args.budget is not None and args.budget < 0:
+            raise ValueError(f"--budget must be non-negative, got {args.budget}")
     except ValueError as exc:
         raise InvalidParams(str(exc)) from exc
     req = AnalysisRequest(

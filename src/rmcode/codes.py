@@ -15,8 +15,9 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .errors import BudgetExceeded, InternalInconsistency, Unsupported
+from .errors import BudgetExceeded, InternalInconsistency, InvalidParams, Unsupported
 from .groebner import monomial_colon, monomial_dim_degree, standard_monomials_upto
+from .polyring import monomial_divides, monomial_mul
 
 DEFAULT_CODEWORD_BUDGET = 10**7
 DEFAULT_SUBSPACE_BUDGET = 10**6
@@ -24,8 +25,12 @@ _CHUNK = 1 << 17
 
 
 def enumeration_budget(default):
-    env = os.environ.get("RMCODE_BUDGET")
-    return int(env) if env else default
+    env = os.environ.get("RMCODE_BUDGET", "").strip()
+    if not env:
+        return default
+    if not env.isdecimal():
+        raise InvalidParams(f"RMCODE_BUDGET={env!r} is not a non-negative integer")
+    return int(env)
 
 
 @dataclass
@@ -211,6 +216,28 @@ def ghw(C, r, limit=None):
     return best
 
 
+def dual_sweep_size(C):
+    """Subspaces of C^perp that ``ghw_hierarchy_via_dual`` enumerates."""
+    n = C.length - C.dimension
+    return sum(gaussian_binomial(n, s, C.field.q) for s in range(1, n + 1))
+
+
+def ghw_hierarchy_via_dual(C):
+    """[d_1(C), ..., d_k(C)] from the weight hierarchy of C^perp by Wei
+    duality: {d_r(C)} and {m + 1 - d_s(C^perp)} partition {1..m}."""
+    k, m = C.dimension, C.length
+    D = dual_code(C)
+    # the caller budgets the whole sweep, so no single weight may trip a limit
+    work = dual_sweep_size(C)
+    taken = {m + 1 - ghw(D, s, limit=work) for s in range(1, D.dimension + 1)}
+    row = [w for w in range(1, m + 1) if w not in taken]
+    if len(row) != k:
+        raise InternalInconsistency(
+            f"Wei duality: {len(row)} weights left for a code of dimension {k}"
+        )
+    return row
+
+
 # -- footprint -------------------------------------------------------------------
 
 
@@ -232,6 +259,68 @@ def footprint(gb, d, r, nvars=None, degree=None):
             contrib = degF
         best = max(best, contrib)
     return degree - best
+
+
+def footprint_matrix(X, gb, r0, budget=None):
+    """Every fp(d, r) for 1 <= d <= r0, 1 <= r <= H(d), as rows[d-1][r-1],
+    with None where the comb(H(d), r) r-subsets exceed the budget.
+
+    The values equal ``footprint``'s.  S/in(I) has dimension 1, so
+    deg S/(in(I)+(F)) is the stable count of standard monomials of a high
+    degree D that no f in F divides.  Each degree-d standard monomial becomes
+    the bitmask of the degree-D standard monomials it divides, and an
+    r-subset costs r ORs and a popcount.
+    """
+    budget = budget if budget is not None else enumeration_budget(DEFAULT_SUBSPACE_BUDGET)
+    s, m = X.s, X.m
+    init = gb.initial_ideal()
+    monos = standard_monomials_upto(gb, s, r0)
+    # S/L with dim S/L <= 1 has a constant Hilbert function from degree
+    # sum_i a_i - s + 1 on, a_i the top exponent of x_i in L's generators;
+    # every L = in(I)+(F) with F in degrees <= r0 has a_i <= max(a_i(in(I)), r0)
+    D = sum(max([r0] + [g[i] for g in init.gens]) for i in range(s))
+    unit = [tuple(int(i == j) for j in range(s)) for i in range(s)]
+    layer = monos[r0]
+    for _ in range(D + 1 - r0):
+        # standard monomials form an order ideal: each one of degree e + 1 is
+        # x_i times one of degree e
+        top, layer = layer, {monomial_mul(u, x) for u in layer for x in unit}
+        layer = [v for v in layer if not init.contains(v)]
+    if not len(top) == len(layer) == m:
+        raise InternalInconsistency(
+            f"standard monomials of degrees {D}, {D + 1}: "
+            f"{len(top)}, {len(layer)}, expected deg(S/in(I)) = {m}"
+        )
+    # saturated in(I) has only minimal associated primes: a trivial colon
+    # (in(I) : F) = in(I) then means a stable count of 0, and the count is
+    # the contribution; otherwise a count of 0 takes the exact rule below
+    saturated = monomial_colon(init, unit) == init
+
+    rows = []
+    for d in range(1, r0 + 1):
+        fs = monos[d]
+        masks = [
+            sum(1 << j for j, u in enumerate(top) if monomial_divides(f, u)) for f in fs
+        ]
+        row = []
+        for r in range(1, len(fs) + 1):
+            if comb(len(fs), r) > budget:
+                row.append(None)
+                continue
+            best = 0
+            for idx in itertools.combinations(range(len(fs)), r):
+                covered = 0
+                for i in idx:
+                    covered |= masks[i]
+                contrib = m - covered.bit_count()
+                if contrib == 0 and not saturated:
+                    F = [fs[i] for i in idx]
+                    if monomial_colon(init, F) != init:
+                        _, contrib = monomial_dim_degree(init.plus(F))
+                best = max(best, contrib)
+            row.append(m - best)
+        rows.append(row)
+    return rows
 
 
 # -- weight matrix ---------------------------------------------------------------
@@ -314,7 +403,7 @@ class WeightMatrix:
         return "\n".join(lines)
 
 
-def weight_matrix(X, gb, hd, isx, budget=None):
+def weight_matrix(X, gb, hd, isx, budget=None, fp=None):
     """Resolve every delta_X(d, r) cell for 1 <= d <= r0, 1 <= r <= m.
 
     Resolution order per cell: brute force within budget; infinity when
@@ -322,6 +411,12 @@ def weight_matrix(X, gb, hd, isx, budget=None):
     interval tightening from the footprint lower bound, the generalized
     Singleton bound, and strict row/column monotonicity.  Unresolved cells
     stay honest intervals.
+
+    The budget counts r-subspaces of C_X(d).  The in-budget cells of a row
+    are enumerated in C_X(d), or, when its dual sweep is no larger, read off
+    the whole hierarchy of C_X(d)^perp by Wei duality.  ``fp`` takes the
+    rows of ``footprint_matrix`` under the same budget, computed here when
+    not given.
     """
     budget = budget if budget is not None else enumeration_budget(DEFAULT_SUBSPACE_BUDGET)
     f = X.field
@@ -337,27 +432,32 @@ def weight_matrix(X, gb, hd, isx, budget=None):
     if deg_total != m:
         raise InternalInconsistency("deg(S/in(I)) must equal |X|")
 
-    codes_by_d = {d: code_of_degree(X, gb, d) for d in range(1, r0 + 1)}
+    if fp is None:
+        fp = footprint_matrix(X, gb, r0, budget=budget)
 
     cells = [[None] * m for _ in range(r0)]
-    fpm = [[None] * m for _ in range(r0)]
+    fpm = [row + [None] * (m - len(row)) for row in fp]
     lo = [[1] * m for _ in range(r0)]
     hi = [[m] * m for _ in range(r0)]
 
     for d in range(1, r0 + 1):
         k = Hval(d)
+        C = code_of_degree(X, gb, d)
+        swept = [r for r in range(1, k + 1) if gaussian_binomial(k, r, f.q) <= budget]
+        if swept and dual_sweep_size(C) <= sum(
+            gaussian_binomial(k, r, f.q) for r in swept
+        ):
+            hierarchy = ghw_hierarchy_via_dual(C)
+            weights = {r: hierarchy[r - 1] for r in swept}
+        else:
+            weights = {r: ghw(C, r, limit=budget) for r in swept}
         for r in range(1, m + 1):
             if r > k:
                 cells[d - 1][r - 1] = Cell.infinity()
                 continue
-            # the footprint enumerates r-subsets of the degree-d footprint;
-            # it obeys the same explicit budget as the subspace sweeps
-            fp_val = None
-            if comb(k, r) <= budget:
-                fp_val = footprint(gb, d, r, nvars=X.s, degree=deg_total)
-            fpm[d - 1][r - 1] = fp_val
-            if gaussian_binomial(k, r, f.q) <= budget:
-                val = ghw(codes_by_d[d], r, limit=budget)
+            fp_val = fpm[d - 1][r - 1]
+            if r in weights:
+                val = weights[r]
                 if fp_val is not None and val < fp_val:
                     raise InternalInconsistency(
                         f"footprint bound violated at (d={d}, r={r})"

@@ -375,13 +375,6 @@ class Field:
         """The constant n*1 (an F_p multiple of the identity)."""
         return n % self.p
 
-    def element(self, value):
-        if isinstance(value, FqElement):
-            if value.field is not self:
-                raise FieldMismatch("element belongs to a different field")
-            return value
-        return FqElement(self, self.from_int(int(value)))
-
     # literal grammar: integer for prime fields; whitespace-free sums of
     # `c`, `a`, `c*a^e` terms for extensions (e reduced by the modulus).
     _TERM = re.compile(r"^(?:(-?\d+)\*?)?(a)?(?:\^(\d+))?$")

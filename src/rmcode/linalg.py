@@ -76,13 +76,6 @@ def solve(field, mat, rhs):
     return x
 
 
-def row_space_equal(field, a, b):
-    """Equality of row spaces via canonical RREF comparison."""
-    Ra, _ = rref(field, a)
-    Rb, _ = rref(field, b)
-    return Ra.shape == Rb.shape and bool(np.array_equal(Ra, Rb))
-
-
 def row_space_contains(field, a, rows):
     """True when every given row lies in the row space of a."""
     Ra, _ = rref(field, a)
@@ -90,12 +83,3 @@ def row_space_contains(field, a, rows):
     stacked = np.concatenate([Ra, field.arr(rows).reshape(-1, Ra.shape[1])], axis=0)
     return rank(field, stacked) == r0
 
-
-def matmul(field, a, b):
-    """Exact a @ b over the field (small operands; loops over the inner axis)."""
-    a = field.arr(a)
-    b = field.arr(b)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for t in range(a.shape[1]):
-        out = field.add_arr(out, field.mul_arr(a[:, t][:, None], b[t][None, :]))
-    return out

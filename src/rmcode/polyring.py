@@ -15,9 +15,6 @@ from .errors import DimensionMismatch, ParseError, RingMismatch
 # -- monomials ----------------------------------------------------------------
 
 
-def monomial_degree(u):
-    return sum(u)
-
 def monomial_mul(u, v):
     return tuple(a + b for a, b in zip(u, v))
 

@@ -196,3 +196,25 @@ def test_budget_env_override(frame_points_file, capsys, monkeypatch):
     report = json.loads(capsys.readouterr().out)
     assert report["budgets"]["codeword_default"] == 123456
     assert report["budgets"]["subspace_default"] == 123456
+
+
+@pytest.mark.parametrize("cell", ["9,9", "1,0", "0,1", "2,6"])
+def test_analyze_ghw_cell_out_of_range(frame_points_file, capsys, cell):
+    # the five-point frame has H = (1, 4, 5), so dim C_X(d) is 4 or 5
+    assert main(["analyze", frame_points_file, "--ghw", cell]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "ghw cell" in err
+
+
+def test_analyze_rejects_negative_budget(frame_points_file, capsys):
+    assert main(["analyze", frame_points_file, "--budget", "-5"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--budget" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "1e6"])
+def test_analyze_rejects_malformed_budget_env(frame_points_file, capsys, monkeypatch, value):
+    monkeypatch.setenv("RMCODE_BUDGET", value)
+    assert main(["analyze", frame_points_file]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "RMCODE_BUDGET" in err

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb
 
 import numpy as np
 import pytest
@@ -8,16 +9,22 @@ from rmcode.codes import (
     LinearCode,
     code_of_degree,
     dual_code,
+    dual_sweep_size,
     footprint,
+    footprint_matrix,
     gaussian_binomial,
     ghw,
+    ghw_hierarchy_via_dual,
     min_distance,
     monomially_equivalent,
     weight_matrix,
 )
 from rmcode.errors import BudgetExceeded, Unsupported
 from rmcode.gf import Field
-from rmcode.variety import PointSet, hilbert_data, vanishing_ideal
+from rmcode.golden import CORPUS, load_entry
+from rmcode.groebner import monomial_colon
+from rmcode.polyring import GREVLEX, TermOrder
+from rmcode.variety import PointSet, hilbert_data, points_parse, vanishing_ideal
 
 
 def test_code_of_degree_zero_and_r0(nine_points):
@@ -223,3 +230,121 @@ def test_monomial_equivalence_torus_witness(F5):
     C1 = code_of_degree(X, gb, 1)
     beta = [F5.parse_element(t) for t in ("-1", "3", "-3", "1")]
     assert monomially_equivalent(C1, dual_code(C1), beta)
+
+
+def _golden_point_sets():
+    for name in CORPUS:
+        X, order = points_parse(load_entry(name)[0])
+        yield name, X, order or GREVLEX
+
+
+def _random_point_set(f, s, m, rng):
+    rows = set()
+    while len(rows) < m:
+        row = tuple(rng.randrange(f.q) for _ in range(s))
+        if any(row):
+            rows.add(row)
+    return PointSet(f, sorted(rows), dedup=True)
+
+
+def _direct_hierarchy(C, limit):
+    """{r: d_r(C)} by direct enumeration, for the r within the limit."""
+    k, q = C.dimension, C.field.q
+    return {
+        r: ghw(C, r, limit=limit)
+        for r in range(1, k + 1)
+        if gaussian_binomial(k, r, q) <= limit
+    }
+
+
+def _check_wei(C, limit):
+    """The Wei-route hierarchy equals direct enumeration on every cell within
+    the limit; returns whether the partition was checked in full."""
+    k, m = C.dimension, C.length
+    direct = _direct_hierarchy(C, limit)
+    if dual_sweep_size(C) <= limit:
+        row = ghw_hierarchy_via_dual(C)
+        assert len(row) == k
+        assert all(row[r - 1] == w for r, w in direct.items())
+    dual = _direct_hierarchy(dual_code(C), limit)
+    if len(direct) < k or len(dual) < m - k:
+        return False
+    mirrored = {m + 1 - w for w in dual.values()}
+    assert len(mirrored) == m - k
+    assert set(direct.values()) | mirrored == set(range(1, m + 1))
+    assert not set(direct.values()) & mirrored
+    return True
+
+
+def test_wei_route_on_golden_codes():
+    for _, X, order in _golden_point_sets():
+        gb = vanishing_ideal(X, order)
+        hd = hilbert_data(gb, X.m, nvars=X.s)
+        for d in range(0, hd.r0 + 2):
+            _check_wei(code_of_degree(X, gb, d), limit=20_000)
+
+
+def test_wei_route_on_random_codes(F3, F4, F5):
+    rng = random.Random(20230826)
+    fields = [Field(2), F3, F4, F5]
+    full = 0
+    kinds = set()
+    for trial in range(240):
+        f = fields[trial % 4]
+        m = rng.randint(1, 8)
+        k = rng.randint(0, m)
+        rows = [[rng.randrange(f.q) for _ in range(m)] for _ in range(k)]
+        C = LinearCode.from_rows(f, rows, length=m)
+        kinds.add("zero" if C.dimension == 0 else "full" if C.dimension == m else "proper")
+        full += _check_wei(C, limit=20_000)
+    assert kinds == {"zero", "full", "proper"}
+    assert full >= 200
+
+
+def test_wei_route_rejects_a_broken_partition(F3, monkeypatch):
+    import rmcode.codes as codes
+    from rmcode.errors import InternalInconsistency
+
+    C = LinearCode.from_rows(F3, [[1, 1, 1, 1]])
+    monkeypatch.setattr(codes, "ghw", lambda D, s, limit=None: 1)
+    with pytest.raises(InternalInconsistency):
+        ghw_hierarchy_via_dual(C)
+
+
+def _footprint_oracle(X, gb, hd, budget):
+    return [
+        [
+            footprint(gb, d, r, nvars=X.s) if comb(hd.H[d], r) <= budget else None
+            for r in range(1, hd.H[d] + 1)
+        ]
+        for d in range(1, hd.r0 + 1)
+    ]
+
+
+def test_footprint_matrix_matches_per_cell_footprint(F3, F4, F5):
+    """The one-pass bitmask rows equal the per-cell definition, budget
+    Nones included, under grevlex and glex; some cases have an unsaturated
+    in(I), which takes the exact colon/length rule."""
+    cases = [(X, order, 60) for _, X, order in _golden_point_sets()]
+    rng = random.Random(4242)
+    fields = [Field(2), F3, F4, F5]
+    for trial in range(24):
+        f = fields[trial % 4]
+        s = rng.choice([3, 4])
+        X = _random_point_set(f, s, rng.randint(3, min(8, (f.q**s - 1) // (f.q - 1))), rng)
+        if X.m < 3:
+            continue
+        reverse = tuple(range(s, 0, -1))
+        for order in (GREVLEX, TermOrder("glex"), TermOrder("glex", reverse)):
+            cases.append((X, order, 20))
+    unsaturated = 0
+    for X, order, budget in cases:
+        gb = vanishing_ideal(X, order)
+        hd = hilbert_data(gb, X.m, nvars=X.s)
+        assert footprint_matrix(X, gb, hd.r0, budget=budget) == _footprint_oracle(
+            X, gb, hd, budget
+        )
+        init = gb.initial_ideal()
+        unit = [tuple(int(i == j) for j in range(X.s)) for i in range(X.s)]
+        unsaturated += monomial_colon(init, unit) != init
+    assert unsaturated >= 1
