@@ -39,6 +39,7 @@ from .codes import (
     ghw,
     min_distance,
     monomially_equivalent,
+    weight_distribution,
     weight_matrix,
 )
 from .duality import (

@@ -1,5 +1,5 @@
-"""Evaluation codes, duals, minimum distance, generalized Hamming weights,
-footprint values, and the weight-matrix resolver.
+"""Evaluation codes, duals, weight distributions, minimum distance,
+generalized Hamming weights, footprint values, and the weight-matrix resolver.
 
 Enumeration kernels run batched on numpy arrays of field codes so that exact
 brute force stays fast enough for the documented budgets.
@@ -131,22 +131,14 @@ def _digits(n_arr, base, ndigits):
     return out
 
 
-def min_distance(C, limit=None):
-    """Exact minimum Hamming weight by scalar-class codeword enumeration."""
-    limit = limit if limit is not None else enumeration_budget(DEFAULT_CODEWORD_BUDGET)
+def weight_distribution(C):
+    """[A_0, ..., A_m]: the number of codewords of C of each Hamming weight,
+    by enumerating one representative of each scalar class.  The caller
+    budgets the projective_count(k, q) classes."""
     f = C.field
     k, m = C.dimension, C.length
-    if k == 0:
-        raise ValueError("the zero code has no minimum distance")
-    total = projective_count(k, f.q)
-    if total > limit:
-        raise BudgetExceeded(
-            f"{total} projective codewords exceed budget {limit}",
-            required=total,
-            budget=limit,
-        )
     G = C.basis
-    best = m
+    classes = np.zeros(m + 1, dtype=np.int64)
     # one representative per scalar class: first nonzero message entry = 1
     for lead in range(k):
         nfree = k - lead - 1
@@ -159,11 +151,61 @@ def min_distance(C, limit=None):
                 for t in range(nfree):
                     col = digs[:, t]
                     cw = f.add_arr(cw, f.mul_arr(col[:, None], G[lead + 1 + t][None, :]))
-            w = (cw != 0).sum(axis=1)
-            best = min(best, int(w.min()))
-            if best == 1:
-                return 1
-    return best
+            classes += np.bincount((cw != 0).sum(axis=1), minlength=m + 1)
+    return [1] + [(f.q - 1) * int(c) for c in classes[1:]]
+
+
+def macwilliams(B, k, q):
+    """The weight distribution of an [m, k] code C over F_q from the weight
+    distribution B = [B_0, ..., B_m] of C^perp, by the MacWilliams identity
+    A_j = q^-(m-k) sum_i B_i K_j(i) with the Krawtchouk polynomials
+    K_j(i) = sum_h (-1)^h (q-1)^(j-h) C(i, h) C(m-i, j-h)."""
+    m = len(B) - 1
+    size = q ** (m - k)
+    support = [(i, b) for i, b in enumerate(B) if b]
+    A = []
+    for j in range(m + 1):
+        total = sum(
+            b * sum(
+                (-1) ** h * (q - 1) ** (j - h) * comb(i, h) * comb(m - i, j - h)
+                for h in range(min(i, j) + 1)
+            )
+            for i, b in support
+        )
+        if total % size or total < 0:
+            raise InternalInconsistency(
+                f"MacWilliams: A_{j} = {total}/{size} is not a non-negative integer"
+            )
+        A.append(total // size)
+    if A[0] != 1 or sum(A) != q**k:
+        raise InternalInconsistency(
+            f"MacWilliams: A_0 = {A[0]} and sum A_j = {sum(A)} for a code of "
+            f"size {q}^{k}"
+        )
+    return A
+
+
+def min_distance(C, limit=None):
+    """Exact minimum Hamming weight.  The budget counts the projective
+    codewords of C; the weights are enumerated in C, or in C^perp when that
+    is the smaller code and carried over by the MacWilliams identity."""
+    limit = limit if limit is not None else enumeration_budget(DEFAULT_CODEWORD_BUDGET)
+    f = C.field
+    k, m = C.dimension, C.length
+    if k == 0:
+        raise ValueError("the zero code has no minimum distance")
+    total = projective_count(k, f.q)
+    if total > limit:
+        raise BudgetExceeded(
+            f"{total} projective codewords exceed budget {limit}",
+            required=total,
+            budget=limit,
+        )
+    if m - k >= k:
+        A = weight_distribution(C)
+    else:
+        A = macwilliams(weight_distribution(dual_code(C)), k, f.q)
+    return next(w for w in range(1, m + 1) if A[w])
 
 
 def _pivot_free_slots(pivots, k):

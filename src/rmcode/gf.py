@@ -27,6 +27,10 @@ from .errors import (
 # Largest extension-field order for which multiplication tables are built.
 TABLE_LIMIT = 1024
 
+# Every characteristic p is below this bound, so the product of two element
+# codes stays below 2**62 and the int64 arithmetic `(a * b) % p` is exact.
+PRIME_LIMIT = 2**31
+
 # Canonical monic moduli for the small extension fields used throughout
 # (ascending coefficients, degree-k entry = 1).  For every entry the basis
 # root `a` itself has multiplicative order q-1, so the designated generator
@@ -58,6 +62,21 @@ def is_prime(n):
             return False
         d += 2
     return True
+
+
+def prime_factors(n):
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -137,25 +156,13 @@ def is_irreducible(modulus, p):
     xp = _poly_powmod_x(p**k, mod, p)
     if _poly_trim(tuple(xp)) != (0, 1):
         return False
-    d = 2
-    kk = k
-    checked = set()
-    while d * d <= kk or kk > 1:
-        if kk % d == 0:
-            if d not in checked:
-                checked.add(d)
-                sub = _poly_powmod_x(p ** (k // d), mod, p)
-                sub = list(sub)
-                if len(sub) < 2:
-                    sub += [0] * (2 - len(sub))
-                sub[1] = (sub[1] - 1) % p
-                if len(_poly_gcd(sub, mod, p)) > 1:
-                    return False
-            while kk % d == 0:
-                kk //= d
-        d += 1
-        if d * d > kk and kk > 1:
-            d = kk
+    for d in prime_factors(k):
+        sub = list(_poly_powmod_x(p ** (k // d), mod, p))
+        if len(sub) < 2:
+            sub += [0] * (2 - len(sub))
+        sub[1] = (sub[1] - 1) % p
+        if len(_poly_gcd(sub, mod, p)) > 1:
+            return False
     return True
 
 
@@ -179,6 +186,9 @@ class Field:
     """An exact finite field F_q, q = p^k, acting on integer element codes."""
 
     def __init__(self, p, k=1, modulus=None):
+        # before is_prime, whose trial division takes sqrt(p) steps
+        if p >= PRIME_LIMIT:
+            raise Unsupported(f"the characteristic must be below 2**31 (got {p})")
         if not is_prime(p):
             raise NonPrimeP(f"{p} is not prime")
         if k < 1:
@@ -209,6 +219,7 @@ class Field:
                 f"extension fields are table driven and limited to q <= {TABLE_LIMIT}"
             )
         self._init_tables()
+        self._unit_primes = prime_factors(self.q - 1)
         self.generator = self._find_primitive()
 
     # -- construction of arithmetic ----------------------------------------
@@ -255,13 +266,14 @@ class Field:
         self._inv_t = inv
 
     def _order_of(self, code):
+        # the order divides q-1; strip each prime l while code^(n/l) = 1, so
+        # a primitive code costs one square-and-multiply power per prime
         if code == 0:
             return 0
-        n = 1
-        acc = code
-        while acc != 1:
-            acc = self.mul(acc, code)
-            n += 1
+        n = self.q - 1
+        for ell in self._unit_primes:
+            while n % ell == 0 and self.pow_(code, n // ell) == 1:
+                n //= ell
         return n
 
     def _find_primitive(self):

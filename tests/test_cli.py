@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -218,3 +219,105 @@ def test_analyze_rejects_malformed_budget_env(frame_points_file, capsys, monkeyp
     assert main(["analyze", frame_points_file]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "RMCODE_BUDGET" in err
+
+
+@pytest.mark.parametrize("p", [2**31 + 11, 2**61 - 1])
+def test_analyze_rejects_characteristic_above_bound(tmp_path, capsys, p):
+    path = tmp_path / "big.points"
+    path.write_text(f"field {p} 1\nvars 2\n1 0\n0 1\n")
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "2**31" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+# valid element literals of each field, and faults to put into a valid file
+_FIELDS = {
+    "field 2 1": ["0", "1"],
+    "field 3 1": ["0", "1", "-1"],
+    "field 5 1": ["0", "1", "2", "4"],
+    "field 2 2": ["0", "1", "a", "1+a"],
+}
+_BAD_FIELD_LINES = [
+    "field 4 1", "field 1 1", "field 0 1", "field -3 1", "field 3 0", "field 3",
+    "field x 1", "field 3 2 1 0 2", f"field {2**31 + 11} 1", f"field {2**61 - 1} 1", "",
+]
+_BAD_VARS_LINES = ["vars 0", "vars -1", "vars x", "vars", "vars 4"]
+_BAD_TOKENS = ["x", "1.5", "a^", "3*b", "a"]
+_ORDER_LINES = ["", "", "order grevlex", "order glex", "order glex perm=2,1",
+                "order glex perm=3,1,2", "order glex perm=1,1", "order lex"]
+_OPTIONS = {
+    "--order": ["grevlex", "glex", "glex:2,1", "glex:3,2,1", "lex", "glex:x"],
+    "--ghw": ["1,1", "2,1", "1,2", "0,1", "1", "x,y", "1,1,1"],
+    "--budget": ["0", "3", "50", "-1", "abc"],
+    "--artinian-h": ["t1", "t1+t2", "t9", "zz"],
+}
+_FLAGS = ["--affine", "--duality", "--gorenstein", "--selfdual", "--weight-matrix",
+          "--footprint", "--json", "--strict"]
+
+
+def _cli_inputs():
+    from hypothesis import strategies as st
+
+    @st.composite
+    def points_text(draw):
+        field = draw(st.sampled_from(sorted(_FIELDS)))
+        s = draw(st.integers(2, 3))
+        # distinct projective points: the last nonzero coordinate is 1
+        points = [
+            " ".join(r) for r in itertools.product(_FIELDS[field], repeat=s)
+            if next((t for t in reversed(r) if t != "0"), None) == "1"
+        ]
+        rows = draw(st.lists(st.sampled_from(points), unique=True, min_size=2, max_size=5))
+        lines = [field, f"vars {s}", draw(st.sampled_from(_ORDER_LINES)), *rows]
+        fault = draw(st.sampled_from(
+            ["none", "none", "none", "field", "vars", "token", "drop", "repeat"]
+        ))
+        if fault == "field":
+            lines[0] = draw(st.sampled_from(_BAD_FIELD_LINES))
+        elif fault == "vars":
+            lines[1] = draw(st.sampled_from(_BAD_VARS_LINES))
+        elif fault == "token":
+            i = draw(st.integers(3, len(lines) - 1))
+            lines[i] += " " + draw(st.sampled_from(_BAD_TOKENS))
+        elif fault == "drop":
+            del lines[draw(st.integers(0, len(lines) - 1))]
+        elif fault == "repeat":
+            lines.append(draw(st.sampled_from(["0 " * (s - 1) + "0", lines[-1]])))
+        return "\n".join(lines) + "\n"
+
+    options = st.dictionaries(
+        st.sampled_from(sorted(_OPTIONS)), st.integers(0, 6), max_size=2
+    ).map(lambda d: [x for k, i in sorted(d.items())
+                     for x in (k, _OPTIONS[k][i % len(_OPTIONS[k])])])
+    flags = st.lists(st.sampled_from(_FLAGS), unique=True, max_size=4)
+    return st.tuples(points_text(), options, flags)
+
+
+def test_analyze_exit_codes_property(tmp_path_factory):
+    """Malformed files, moduli, orders and flag combinations: the exit code
+    is documented, no traceback is printed, and 1 only comes with --strict."""
+    import contextlib
+    import io
+
+    from hypothesis import HealthCheck, given, settings
+
+    path = tmp_path_factory.mktemp("prop") / "in.points"
+
+    @settings(max_examples=120, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_cli_inputs())
+    def check(case):
+        text, options, flags = case
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(["analyze", str(path), *options, *flags])
+            except SystemExit as exc:  # argparse rejects a malformed option value
+                code = exc.code
+        assert code in (0, 1, 2, 3), (text, options, flags, err.getvalue())
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        assert code != 1 or "--strict" in flags
+
+    check()

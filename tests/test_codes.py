@@ -15,11 +15,14 @@ from rmcode.codes import (
     gaussian_binomial,
     ghw,
     ghw_hierarchy_via_dual,
+    macwilliams,
     min_distance,
     monomially_equivalent,
+    projective_count,
+    weight_distribution,
     weight_matrix,
 )
-from rmcode.errors import BudgetExceeded, Unsupported
+from rmcode.errors import BudgetExceeded, InternalInconsistency, Unsupported
 from rmcode.gf import Field
 from rmcode.golden import CORPUS, load_entry
 from rmcode.groebner import monomial_colon
@@ -94,7 +97,8 @@ def test_ghw_matches_min_distance(nine_points, seven_points):
 
 
 def test_scalar_class_enumeration_oracle(F3, F4):
-    """Projective-class minimum equals the full q^k sweep on tiny codes."""
+    """Projective-class minimum and weight distribution equal the full q^k
+    sweep on tiny codes."""
     rng = random.Random(31337)
     for f in (F3, F4):
         for _ in range(10):
@@ -103,21 +107,23 @@ def test_scalar_class_enumeration_oracle(F3, F4):
             C = LinearCode.from_rows(f, rows, length=m)
             if C.dimension == 0:
                 continue
-            best = m
+            dist = [0] * (m + 1)
             for msg in itertools.product(range(f.q), repeat=C.dimension):
-                if all(x == 0 for x in msg):
-                    continue
                 cw = np.zeros(m, dtype=np.int64)
                 for c, row in zip(msg, C.basis):
                     cw = f.add_arr(cw, f.mul_arr(c, row))
-                best = min(best, int((cw != 0).sum()))
-            assert min_distance(C) == best
+                dist[int((cw != 0).sum())] += 1
+            assert weight_distribution(C) == dist
+            assert min_distance(C) == _minimum(dist)
 
 
 def test_budget_exceeded(F3):
     C = LinearCode.from_rows(F3, np.eye(10, dtype=np.int64))
-    with pytest.raises(BudgetExceeded):
+    # the dual is zero, yet the budget counts the codewords of C itself
+    assert dual_code(C).dimension == 0
+    with pytest.raises(BudgetExceeded) as exc:
         min_distance(C, limit=10)
+    assert exc.value.required == projective_count(10, 3)
     with pytest.raises(BudgetExceeded):
         ghw(C, 5, limit=10)
     assert gaussian_binomial(10, 5, 3) > 10
@@ -348,3 +354,113 @@ def test_footprint_matrix_matches_per_cell_footprint(F3, F4, F5):
         unit = [tuple(int(i == j) for j in range(X.s)) for i in range(X.s)]
         unsaturated += monomial_colon(init, unit) != init
     assert unsaturated >= 1
+
+
+def _minimum(A):
+    """The smallest nonzero weight of a weight distribution."""
+    return next(w for w in range(1, len(A)) if A[w])
+
+
+def _check_macwilliams(C):
+    """The dual-route distribution and min_distance equal direct enumeration."""
+    k, q = C.dimension, C.field.q
+    A = weight_distribution(C)
+    assert macwilliams(weight_distribution(dual_code(C)), k, q) == A
+    assert min_distance(C) == _minimum(A)
+
+
+def _mds_distribution(m, k, q):
+    """The weight distribution of an [m, k, m - k + 1] MDS code."""
+    d = m - k + 1
+    return [1] + [
+        comb(m, w)
+        * sum((-1) ** j * comb(w, j) * (q ** (w - d + 1 - j) - 1) for j in range(w - d + 1))
+        for w in range(1, m + 1)
+    ]
+
+
+def test_macwilliams_route_on_golden_codes():
+    """Every golden C_X(d), d = 1..r0, under grevlex and glex.  C_X(d) does
+    not depend on the order, which is asserted, so each code is checked
+    once.  A code whose dual is too big to sweep takes the direct route and
+    is compared by its minimum alone.  The codes too big to sweep directly
+    are MDS (the full space and Reed-Solomon codes of P^1) and are checked
+    against the MDS weight distribution instead."""
+    codes = {}
+    too_big = set()
+    for name, X, order in _golden_point_sets():
+        for o in (order, GREVLEX, TermOrder("glex")):
+            gb = vanishing_ideal(X, o)
+            hd = hilbert_data(gb, X.m, nvars=X.s)
+            for d in range(1, hd.r0 + 1):
+                C = code_of_degree(X, gb, d)
+                if (name, d) in codes:
+                    assert C == codes[name, d]
+                    continue
+                codes[name, d] = C
+                k, q = C.dimension, C.field.q
+                if projective_count(k, q) <= 3 * 10**5:
+                    if projective_count(X.m - k, q) <= 3 * 10**5:
+                        _check_macwilliams(C)
+                    else:
+                        assert min_distance(C) == _minimum(weight_distribution(C))
+                    continue
+                too_big.add((name, d))
+                A = macwilliams(weight_distribution(dual_code(C)), k, q)
+                assert A == _mds_distribution(X.m, k, q)
+                assert min_distance(C, limit=projective_count(k, q)) == X.m - k + 1
+    assert too_big == {("projective_plane_f3", 5)} | {
+        ("projective_line_f9", d) for d in (6, 7, 8, 9)
+    }
+
+
+def test_macwilliams_route_on_random_codes(F3, F4, F5, F9):
+    rng = random.Random(19630501)
+    fields = [Field(2), F3, F4, F5, Field(7), F9]
+    max_length = {2: 9, 3: 9, 4: 8, 5: 7, 7: 6, 9: 6}
+    kinds = set()
+    checked = 0
+    for trial in range(240):
+        f = fields[trial % 6]
+        m = rng.randint(1, max_length[f.q])
+        k = rng.choice([m, m // 2, rng.randint(1, m)])
+        rows = [[rng.randrange(f.q) for _ in range(m)] for _ in range(k)]
+        C = LinearCode.from_rows(f, rows, length=m)
+        if C.dimension == 0:
+            continue
+        kinds.add(
+            "full" if C.dimension == m
+            else "boundary" if 2 * C.dimension == m
+            else "dual" if 2 * C.dimension > m
+            else "direct"
+        )
+        _check_macwilliams(C)
+        checked += 1
+    assert kinds == {"full", "boundary", "dual", "direct"}
+    assert checked >= 200
+
+
+def test_macwilliams_rejects_a_corrupted_dual_distribution(F3, monkeypatch):
+    import rmcode.codes as codes
+
+    C = LinearCode.from_rows(F3, [[1, 0, 0, 1, 2], [0, 1, 0, 2, 2], [0, 0, 1, 1, 1]])
+    B = weight_distribution(dual_code(C))
+    assert macwilliams(B, 3, 3) == weight_distribution(C)
+    # +1 breaks an exact division; +9 = +|C^perp| keeps them exact, but
+    # A_0 becomes 2
+    for i, delta in itertools.product(range(len(B)), (1, 9)):
+        bad = list(B)
+        bad[i] += delta
+        with pytest.raises(InternalInconsistency):
+            macwilliams(bad, 3, 3)
+    real = codes.weight_distribution
+
+    def corrupted(D):
+        A = real(D)
+        if D.dimension < C.dimension:
+            A[-1] += 2
+        return A
+
+    monkeypatch.setattr(codes, "weight_distribution", corrupted)
+    with pytest.raises(InternalInconsistency):
+        min_distance(C)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from rmcode.errors import (
     NonPrimeP,
     ParseError,
     ReducibleModulus,
+    Unsupported,
 )
 from rmcode.gf import BUILTIN_MODULI, Field, FqElement, field_create, primitive_element
 
@@ -137,6 +140,39 @@ def test_frobenius_and_unit_group_exhaustive(q):
         F.add_arr(F.pow_arr(X, F.p), F.pow_arr(Y, F.p)),
     )
     assert np.all(F.pow_arr(xs[1:], q - 1) == 1)
+    # multiplicative orders against stepping through the powers
+    stepped = {}
+    for x in range(1, q):
+        n, acc = 1, x
+        while acc != 1:
+            acc, n = F.mul(acc, x), n + 1
+        stepped[x] = n
+    assert _orders(F) == stepped
+    assert F.generator == min(x for x, n in stepped.items() if n == q - 1)
+
+
+def test_large_prime_field_builds_fast():
+    p = 2**31 - 1
+    t0 = time.perf_counter()
+    F = Field(p)
+    assert time.perf_counter() - t0 < 1.0
+    primes = (2, 3, 7, 11, 31, 151, 331)
+    assert 2 * 3**2 * 7 * 11 * 31 * 151 * 331 == p - 1
+
+    def primitive(g):
+        return all(pow(g, (p - 1) // ell, p) != 1 for ell in primes)
+
+    assert primitive(F.generator)
+    assert not any(primitive(g) for g in range(1, F.generator))
+    assert FqElement(F, F.generator).multiplicative_order() == p - 1
+    assert FqElement(F, 2).multiplicative_order() == 31  # 2^31 = 1 mod p
+
+
+def test_characteristic_bound():
+    # rejected before the primality test, which would take sqrt(p) steps
+    for p in (2**31, 2**31 + 11, 2**61 - 1, 2**127 - 1):
+        with pytest.raises(Unsupported):
+            Field(p)
 
 
 def test_element_operators():
