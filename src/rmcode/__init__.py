@@ -4,8 +4,8 @@ finite projective point sets."""
 __version__ = "0.1.0"
 
 from .errors import RMCodeError
-from .gf import Field, FqElement, field_create, primitive_element
-from .polyring import GREVLEX, Poly, TermOrder, monomial_compare, parse_poly, poly_eval
+from .gf import Field, FqElement, primitive_element
+from .polyring import GREVLEX, Poly, TermOrder, parse_poly
 from .groebner import (
     GroebnerBasis,
     MonomialIdeal,
@@ -15,7 +15,7 @@ from .groebner import (
     monomial_colon,
     monomial_dim_degree,
     normal_form,
-    standard_monomials,
+    standard_monomials_upto,
 )
 from .variety import (
     HilbertData,
@@ -29,7 +29,7 @@ from .variety import (
     symmetry_equiv_check,
     vanishing_ideal,
 )
-from .indicators import IndicatorSet, colon_witness, standard_indicators, v_numbers
+from .indicators import IndicatorSet, colon_witness, standard_indicators
 from .codes import (
     LinearCode,
     WeightMatrix,
@@ -44,7 +44,6 @@ from .codes import (
 )
 from .duality import (
     DualityCertificate,
-    affine_duality,
     global_duality,
     gorenstein_crosscheck,
     gorenstein_selfdual_classify,
@@ -61,3 +60,4 @@ from .artinian import (
     socle,
     verify_socle_identities,
 )
+from .analysis import Analysis, affine_duality

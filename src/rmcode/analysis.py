@@ -1,9 +1,11 @@
 """The analyze pipeline: points -> ideal -> invariants -> codes ->
-certificates, assembled into a deterministic report."""
+certificates, assembled into a deterministic report.  ``Analysis`` holds
+what every step shares, each computed once."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from math import comb
 
 from . import __version__
@@ -36,6 +38,54 @@ from .variety import (
     symmetry_equiv_check,
     vanishing_ideal,
 )
+
+
+@dataclass(eq=False)
+class Analysis:
+    """One point set X under one order.
+
+    The certified vanishing-ideal basis ``gb``, the Hilbert data ``hd``
+    (checked by ``symmetry_equiv_check``) and the indicator functions
+    ``isx`` are computed on first use; ``code(d)`` and ``dual(d)`` build
+    C_X(d) and its dual once per degree, the zero code for d < 0, with
+    read-only bases.
+    """
+
+    X: PointSet
+    order: TermOrder = GREVLEX
+    _codes: dict = dc_field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def gb(self):
+        return vanishing_ideal(self.X, self.order)
+
+    @cached_property
+    def hd(self):
+        hd = hilbert_data(self.gb, self.X.m, nvars=self.X.s)
+        symmetry_equiv_check(hd)
+        return hd
+
+    @cached_property
+    def isx(self):
+        return standard_indicators(self.X, self.gb)
+
+    def code(self, d):
+        C = self._codes.get(d)
+        if C is None:
+            C = self._codes[d] = code_of_degree(self.X, self.gb, d)
+            C.basis.flags.writeable = False
+        return C
+
+    def dual(self, d):
+        return self.code(d).dual
+
+
+def affine_duality(field, affine_rows, check_min_distance=True):
+    """The affine criterion via the projective closure Y = [X, 1]; returns
+    the certificate, the affine Hilbert data and the ``Analysis`` of Y."""
+    A = Analysis(projective_closure(field, affine_rows), GREVLEX)
+    cert = global_duality(A, check_min_distance=check_min_distance)
+    return cert, {"affine_hilbert_function": list(A.hd.H), "r0": A.hd.r0}, A
 
 
 @dataclass
@@ -107,16 +157,15 @@ def analyze_text(text, req=None):
         },
     }
 
-    gb = vanishing_ideal(X, order)
-    hd = hilbert_data(gb, X.m, nvars=s)
-    symmetry_equiv_check(hd)
+    A = Analysis(X, order)
+    gb, hd = A.gb, A.hd
     for d, r in req.ghw_cells:
         if d < 1:
             raise InvalidParams(f"ghw cell {d},{r}: d must be at least 1")
-        k = hd.H[d] if d <= hd.r0 else X.m
+        k = hd.value(d)
         if not 1 <= r <= k:
             raise InvalidParams(f"ghw cell {d},{r}: r must be in 1..{k} = dim C_X({d})")
-    isx = standard_indicators(X, gb)
+    isx = A.isx
     mingens = minimal_generator_count(gb, hd.r0)
 
     report["vanishing_ideal"] = {
@@ -134,11 +183,11 @@ def analyze_text(text, req=None):
     deltas = {}
     for d in range(1, hd.r0 + 1):
         try:
-            deltas[d] = min_distance(code_of_degree(X, gb, d), limit=budget)
+            deltas[d] = min_distance(A.code(d), limit=budget)
         except BudgetExceeded as exc:
             deltas[d] = f"budget_exceeded({exc.required})"
     report["codes"] = {
-        "dimensions": {d: (hd.H[d] if d <= hd.r0 else X.m) for d in range(hd.r0 + 1)},
+        "dimensions": {d: hd.value(d) for d in range(hd.r0 + 1)},
         "min_distance": deltas,
     }
     finite = [d for d, v in deltas.items() if isinstance(v, int)]
@@ -150,7 +199,7 @@ def analyze_text(text, req=None):
         cells = {}
         for d, r in req.ghw_cells:
             try:
-                cells[f"{d},{r}"] = ghw(code_of_degree(X, gb, d), r, limit=budget)
+                cells[f"{d},{r}"] = ghw(A.code(d), r, limit=budget)
             except BudgetExceeded as exc:
                 cells[f"{d},{r}"] = f"budget_exceeded({exc.required})"
                 negatives.append("budget")
@@ -169,13 +218,13 @@ def analyze_text(text, req=None):
         }
 
     if req.weights:
-        wm = weight_matrix(X, gb, hd, isx, budget=budget, fp=fp)
+        wm = weight_matrix(A, budget=budget, fp=fp)
         report["codes"]["weight_matrix"] = wm.as_dict()
         report["codes"]["weight_matrix_rendered"] = wm.render().splitlines()
 
     cert = None
     if req.duality or req.gorenstein:
-        cert = global_duality(X, gb, hd, isx)
+        cert = global_duality(A)
         report["duality"] = cert.as_dict(f)
         if req.duality and not cert.holds:
             negatives.append("duality")
@@ -183,13 +232,13 @@ def analyze_text(text, req=None):
     cls = None
     if req.gorenstein:
         h_override = parse_poly(f, s, req.artinian_h) if req.artinian_h else None
-        cls = classify(X, gb, hd, h=h_override)
+        cls = classify(A, h=h_override)
         report["artinian"] = cls.as_dict(order)
         report["artinian"]["crosscheck_with_duality"] = gorenstein_crosscheck(
             cert, cls
         )
         if cls.gorenstein:
-            rep = verify_socle_identities(cls, isx, gb, X, hd)
+            rep = verify_socle_identities(A, cls)
             report["artinian"]["socle_identities"] = {
                 "lambdas": [
                     cls.J_basis.field.format_element(c, signed=True)
@@ -201,13 +250,13 @@ def analyze_text(text, req=None):
             negatives.append("gorenstein")
 
     if req.selfdual:
-        rep = self_dual_report(X, gb, hd)
+        rep = self_dual_report(A)
         report["self_duality"] = rep
         if not rep["self_dual_degrees"]:
             negatives.append("selfdual")
         if cls is not None and cls.gorenstein:
             report["self_duality"]["gorenstein_classification"] = (
-                gorenstein_selfdual_classify(X, gb, hd, cls)
+                gorenstein_selfdual_classify(A, cls)
             )
 
     return report, negatives

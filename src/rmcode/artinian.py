@@ -4,7 +4,6 @@ identities."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,34 +83,56 @@ def _avoids_all(X, coeffs):
     return not np.any(vals == 0)
 
 
-def _candidate_forms(field, s):
-    """Normalized linear forms in preference order: t_s, then the other
-    single variables, then general forms with first nonzero coefficient 1."""
-    single = [tuple(int(i == j) for i in range(s)) for j in range(s)]
-    yield single[s - 1]
-    for j in range(s - 1):
-        yield single[j]
+def _first_regular_form(X):
+    """The first linear form in preference order that vanishes at no point
+    of X, as a coefficient tuple, or None.
+
+    The order: t_s, then the other single variables, then the forms with
+    at least two nonzero coefficients, first nonzero coefficient 1, by the
+    position of that 1 and then lexicographically in the rest.  A
+    depth-first search visits the rest in that order and cuts a prefix as
+    soon as a point whose later coordinates are all 0 evaluates to 0: no
+    completion of the prefix avoids that point.
+    """
+    f, s, P = X.field, X.s, X.coords
+    for j in (s - 1, *range(s - 1)):
+        single = tuple(int(i == j) for i in range(s))
+        if _avoids_all(X, single):
+            return single
+    # settled[j]: the points whose coordinates after j are all 0
+    settled = [~np.any(P[:, j + 1 :], axis=1) for j in range(s)]
+
+    def search(coeffs, vals):
+        j = len(coeffs) - 1
+        if np.any(vals[settled[j]] == 0):
+            return None
+        if j == s - 1:
+            # every single variable failed above, so this has two nonzeros
+            return tuple(coeffs)
+        for c in range(f.q):
+            nxt = f.add_arr(vals, f.mul_arr(c, P[:, j + 1])) if c else vals
+            hit = search(coeffs + [c], nxt)
+            if hit is not None:
+                return hit
+        return None
+
     for lead in range(s):
-        for rest in itertools.product(range(field.q), repeat=s - 1 - lead):
-            coeffs = (0,) * lead + (1,) + rest
-            if sum(1 for c in coeffs if c) >= 2:
-                yield coeffs
+        hit = search([0] * lead + [1], P[:, lead])
+        if hit is not None:
+            return hit
+    return None
 
 
 def find_regular_linear_form(X):
     """A degree-1 form avoiding every point of X, extending scalars if F_q
     admits none.  Returns (h, extension_degree, X_over_h_field)."""
-    for coeffs in _candidate_forms(X.field, X.s):
-        if _avoids_all(X, coeffs):
-            return _linear_form(X.field, X.s, coeffs), 1, X
-    e = 2
+    e, workX = 1, X
     while True:
-        big = _extension_field(X.field, e)
-        bigX = X.lift(big)
-        for coeffs in _candidate_forms(big, X.s):
-            if _avoids_all(bigX, coeffs):
-                return _linear_form(big, X.s, coeffs), e, bigX
+        coeffs = _first_regular_form(workX)
+        if coeffs is not None:
+            return _linear_form(workX.field, X.s, coeffs), e, workX
         e += 1
+        workX = X.lift(_extension_field(X.field, e))
 
 
 def _extension_field(base, e):
@@ -144,19 +165,18 @@ def artinian_reduce(gb, h, X):
     perm = order.resolved_perm(s)
     last_var = perm[-1] - 1
     ts_mono = tuple(int(i == last_var) for i in range(s))
+    gens = gb.gens + (h,)
     if (
         order.kind == "grevlex"
         and h.terms == {ts_mono: 1}
         and all(u[last_var] == 0 for u in gb.leading_monomials())
     ):
-        J = GroebnerBasis(order, gb.gens + [h], certified=False)
-        if not gb_certify(J):
+        if not gb_certify(GroebnerBasis(order, gens)):
             raise InternalInconsistency(
                 "G + {t_s} failed certification although t_s avoids all leads"
             )
-        J.certified = True
-        return J
-    return buchberger(gb.gens + [h], order)
+        return GroebnerBasis(order, gens, certified=True)
+    return buchberger(gens, order)
 
 
 def _socle_basis(J, nvars):
@@ -167,17 +187,16 @@ def _socle_basis(J, nvars):
     """
     f = J.field
     leads = J.leading_monomials()
+    bound = 0  # no standard monomial has degree above sum_i (a_i - 1)
     for i in range(nvars):
-        if not any(
-            u[i] and all(e == 0 for j, e in enumerate(u) if j != i) for u in leads
-        ):
+        pure = [
+            u[i] for u in leads if all(e == 0 for j, e in enumerate(u) if j != i)
+        ]
+        if not any(pure):
             raise NotArtinian(f"no pure power of t{i + 1} in the initial ideal")
-    d = 0
-    per_degree = standard_monomials_upto(J, nvars, 0)
-    while per_degree[d]:
-        d += 1
-        per_degree = standard_monomials_upto(J, nvars, d)
-    top = d - 1
+        bound += min(a for a in pure if a) - 1
+    per_degree = standard_monomials_upto(J, nvars, bound + 1)
+    top = max((d for d, layer in enumerate(per_degree) if layer), default=-1)
     if top < 0:
         raise NotArtinian("unit ideal")
 
@@ -217,13 +236,15 @@ def socle(J, nvars):
     return soc, top, type_, len(degrees) == 1, type_ == 1, degrees[0]
 
 
-def classify(X, gb, hd, h=None):
-    """Full Artinian-reduction classification of the vanishing ideal.
+def classify(A, h=None):
+    """Full Artinian-reduction classification of the vanishing ideal of the
+    ``Analysis`` A.
 
     ``h`` may pin a particular regular linear form (over the base field);
     by default the preference-ordered search is used, extending scalars when
     no form over F_q avoids all points.
     """
+    X, gb, hd = A.X, A.gb, A.hd
     if h is not None:
         ext_degree, workX, work_gb = 1, X, gb
         hpoly = h
@@ -270,8 +291,9 @@ def classify(X, gb, hd, h=None):
     )
 
 
-def verify_socle_identities(cls, isx, gb, X, hd):
-    """The socle-indicator identities of a Gorenstein classification.
+def verify_socle_identities(A, cls):
+    """The socle-indicator identities of a Gorenstein classification of the
+    ``Analysis`` A.
 
     (1) the remainder of every f_i modulo J is a nonzero multiple of the top
     standard monomial; (2) every deg f_i equals r0; (3) under GRevLex with
@@ -281,7 +303,8 @@ def verify_socle_identities(cls, isx, gb, X, hd):
     """
     if not cls.gorenstein:
         raise NotGorenstein("socle identities require a Gorenstein ideal")
-    r0 = hd.r0
+    X, gb, isx = A.X, A.gb, A.isx
+    r0 = A.hd.r0
     t_a = cls.socle_monomial
     J = cls.J_basis
     fstar = J.field
@@ -322,14 +345,14 @@ def verify_socle_identities(cls, isx, gb, X, hd):
                     3, f"f_{i + 1} - lambda*t^a must be divisible by t_s"
                 )
         # multiplication by t_s preserves standardness
-        leads = gb.leading_monomials()
-        for d in range(r0 + 1):
-            for u in standard_monomials_upto(gb, s, d)[d]:
+        init = gb.initial_ideal()
+        for layer in standard_monomials_upto(gb, s, r0):
+            for u in layer:
                 for ell in range(1, 4):
                     shifted = tuple(
                         e + (ell if i == last_var else 0) for i, e in enumerate(u)
                     )
-                    if any(all(a <= b for a, b in zip(v, shifted)) for v in leads):
+                    if init.contains(shifted):
                         raise IdentityViolated(
                             4, "t_s-multiple of a standard monomial left the footprint"
                         )

@@ -21,8 +21,9 @@ from .errors import (
     InvalidParams,
     ParseError,
     RMCodeError,
+    Unsupported,
 )
-from .gf import Field
+from .gf import PRIME_LIMIT, Field, is_prime
 from .golden import CORPUS, run_corpus
 from .polyring import TermOrder
 from .variety import format_points, points_full_projective, points_parameterized, points_torus
@@ -165,7 +166,8 @@ def cmd_analyze(args):
 def cmd_generate(args):
     if args.kind != "parameterized" and not args.vars:
         raise InvalidParams(f"{args.kind} needs --vars")
-    f = Field(args.p or _char_of(args.q), _ext_of(args.q))
+    p, k = _prime_power(args.q)
+    f = Field(args.p or p, k)
     if args.kind == "projective":
         ps = points_full_projective(args.vars, f)
         header = (f"all points of P^{args.vars - 1} over F_{f.q}",)
@@ -196,22 +198,30 @@ def cmd_generate(args):
     return EXIT_OK
 
 
-def _char_of(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            return p
-    raise InvalidParams(f"bad field size {q}")
+def _prime_power(q):
+    """(p, k) with q = p^k and p prime.  p is the exact k-th root of q for
+    the largest such k, so q is a prime power iff p is prime."""
+    if q < 2:
+        raise InvalidParams(f"bad field size {q}")
+    for k in range(q.bit_length(), 0, -1):
+        p = _iroot(q, k)
+        if p**k == q:
+            break
+    if p >= PRIME_LIMIT:
+        raise Unsupported(f"the characteristic must be below 2**31 (got {p})")
+    if not is_prime(p):
+        raise InvalidParams(f"{q} is not a prime power")
+    return p, k
 
 
-def _ext_of(q):
-    p = _char_of(q)
-    k = 0
-    while q > 1:
-        if q % p:
-            raise InvalidParams(f"{q} is not a prime power")
-        q //= p
-        k += 1
-    return k
+def _iroot(n, k):
+    """floor(n^(1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def cmd_golden(args):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from . import linalg
 from .errors import BudgetExceeded, InternalInconsistency, InvalidParams, Unsupported
 from .groebner import monomial_colon, monomial_dim_degree, standard_monomials_upto
-from .polyring import monomial_divides, monomial_mul
+from .polyring import monomial_divides
 
 DEFAULT_CODEWORD_BUDGET = 10**7
 DEFAULT_SUBSPACE_BUDGET = 10**6
@@ -55,6 +56,14 @@ class LinearCode:
     @property
     def dimension(self):
         return self.basis.shape[0]
+
+    @cached_property
+    def dual(self):
+        """C^perp, built once per code; both bases are frozen with it."""
+        D = dual_code(self)
+        self.basis.flags.writeable = False
+        D.basis.flags.writeable = False
+        return D
 
     def __eq__(self, other):
         return (
@@ -204,7 +213,7 @@ def min_distance(C, limit=None):
     if m - k >= k:
         A = weight_distribution(C)
     else:
-        A = macwilliams(weight_distribution(dual_code(C)), k, f.q)
+        A = macwilliams(weight_distribution(C.dual), k, f.q)
     return next(w for w in range(1, m + 1) if A[w])
 
 
@@ -268,7 +277,7 @@ def ghw_hierarchy_via_dual(C):
     """[d_1(C), ..., d_k(C)] from the weight hierarchy of C^perp by Wei
     duality: {d_r(C)} and {m + 1 - d_s(C^perp)} partition {1..m}."""
     k, m = C.dimension, C.length
-    D = dual_code(C)
+    D = C.dual
     # the caller budgets the whole sweep, so no single weight may trip a limit
     work = dual_sweep_size(C)
     taken = {m + 1 - ghw(D, s, limit=work) for s in range(1, D.dimension + 1)}
@@ -316,18 +325,12 @@ def footprint_matrix(X, gb, r0, budget=None):
     budget = budget if budget is not None else enumeration_budget(DEFAULT_SUBSPACE_BUDGET)
     s, m = X.s, X.m
     init = gb.initial_ideal()
-    monos = standard_monomials_upto(gb, s, r0)
     # S/L with dim S/L <= 1 has a constant Hilbert function from degree
     # sum_i a_i - s + 1 on, a_i the top exponent of x_i in L's generators;
     # every L = in(I)+(F) with F in degrees <= r0 has a_i <= max(a_i(in(I)), r0)
     D = sum(max([r0] + [g[i] for g in init.gens]) for i in range(s))
-    unit = [tuple(int(i == j) for j in range(s)) for i in range(s)]
-    layer = monos[r0]
-    for _ in range(D + 1 - r0):
-        # standard monomials form an order ideal: each one of degree e + 1 is
-        # x_i times one of degree e
-        top, layer = layer, {monomial_mul(u, x) for u in layer for x in unit}
-        layer = [v for v in layer if not init.contains(v)]
+    monos = standard_monomials_upto(gb, s, D + 1)
+    top, layer = monos[D], monos[D + 1]
     if not len(top) == len(layer) == m:
         raise InternalInconsistency(
             f"standard monomials of degrees {D}, {D + 1}: "
@@ -336,6 +339,7 @@ def footprint_matrix(X, gb, r0, budget=None):
     # saturated in(I) has only minimal associated primes: a trivial colon
     # (in(I) : F) = in(I) then means a stable count of 0, and the count is
     # the contribution; otherwise a count of 0 takes the exact rule below
+    unit = [tuple(int(i == j) for j in range(s)) for i in range(s)]
     saturated = monomial_colon(init, unit) == init
 
     rows = []
@@ -445,7 +449,7 @@ class WeightMatrix:
         return "\n".join(lines)
 
 
-def weight_matrix(X, gb, hd, isx, budget=None, fp=None):
+def weight_matrix(A, budget=None, fp=None):
     """Resolve every delta_X(d, r) cell for 1 <= d <= r0, 1 <= r <= m.
 
     Resolution order per cell: brute force within budget; infinity when
@@ -458,17 +462,14 @@ def weight_matrix(X, gb, hd, isx, budget=None, fp=None):
     are enumerated in C_X(d), or, when its dual sweep is no larger, read off
     the whole hierarchy of C_X(d)^perp by Wei duality.  ``fp`` takes the
     rows of ``footprint_matrix`` under the same budget, computed here when
-    not given.
+    not given.  ``A`` is the ``Analysis`` of the point set.
     """
     budget = budget if budget is not None else enumeration_budget(DEFAULT_SUBSPACE_BUDGET)
+    X, gb, hd = A.X, A.gb, A.hd
     f = X.field
     m = X.m
     r0 = hd.r0
-
-    def Hval(d):
-        return hd.H[d] if d <= r0 else m
-
-    v_sorted = isx.v_sorted  # v_sorted[r-1] = R_r
+    v_sorted = A.isx.v_sorted  # v_sorted[r-1] = R_r
     init = gb.initial_ideal()
     _, deg_total = monomial_dim_degree(init)
     if deg_total != m:
@@ -483,8 +484,8 @@ def weight_matrix(X, gb, hd, isx, budget=None, fp=None):
     hi = [[m] * m for _ in range(r0)]
 
     for d in range(1, r0 + 1):
-        k = Hval(d)
-        C = code_of_degree(X, gb, d)
+        k = hd.value(d)
+        C = A.code(d)
         swept = [r for r in range(1, k + 1) if gaussian_binomial(k, r, f.q) <= budget]
         if swept and dual_sweep_size(C) <= sum(
             gaussian_binomial(k, r, f.q) for r in swept
@@ -586,7 +587,7 @@ def monomially_equivalent(C1, C2, beta=None):
     ok = C1.scaled(beta) == C2
     if ok:
         # symmetric form of the witness (dual equation)
-        d1, d2 = dual_code(C1), dual_code(C2)
+        d1, d2 = C1.dual, C2.dual
         if not d2 == d1.scaled([C1.field.inv(int(b)) for b in beta]):
             raise InternalInconsistency("dual form of the witness failed")
     return ok

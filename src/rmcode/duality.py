@@ -1,6 +1,7 @@
 """Duality predicates and certificates: the global criterion with its
-parity-check vector, local (essential-monomial) duality, self-orthogonal and
-self-dual classification, and the affine criterion via projective closure."""
+parity-check vector, local (essential-monomial) duality, and the
+self-orthogonal and self-dual classification.  Each takes the ``Analysis``
+of a point set, whose codes and duals are built once."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import linalg
 from .errors import (
     BudgetExceeded,
     ConditionFailed,
@@ -16,11 +16,9 @@ from .errors import (
     NotEssential,
     NotGorenstein,
 )
-from .codes import LinearCode, code_of_degree, dual_code, min_distance
+from .codes import LinearCode, dual_code, min_distance
 from .groebner import normal_form, standard_monomials_upto
-from .indicators import standard_indicators
-from .polyring import GREVLEX, Poly, monomial_support
-from .variety import hilbert_data, projective_closure, vanishing_ideal
+from .polyring import Poly, monomial_support
 
 
 @dataclass
@@ -54,48 +52,34 @@ class DualityCertificate:
         return out
 
 
-def _code_at(X, gb, d):
-    if d < 0:
-        return LinearCode(X.field, X.m, np.zeros((0, X.m), dtype=np.int64))
-    return code_of_degree(X, gb, d)
+def global_duality(A, check_min_distance=True):
+    """The global criterion for the ``Analysis`` A, evaluated and then
+    verified degree by degree."""
+    hd = A.hd
+    m, r0 = A.X.m, hd.r0
 
+    def hsum(d):
+        return hd.value(d) + hd.value(r0 - d - 1)
 
-def global_duality(X, gb, hd, isx, check_min_distance=True):
-    """The global criterion, evaluated and then verified degree by degree."""
-    f = X.field
-    m, r0 = X.m, hd.r0
-
-    def Hval(d):
-        if d < 0:
-            return 0
-        return hd.H[d] if d <= r0 else m
-
-    symmetric_sum = all(Hval(d) + Hval(r0 - d - 1) == m for d in range(r0 + 1))
-    v_all_r0 = all(v == r0 for v in isx.degrees)
+    symmetric_sum = all(hsum(d) == m for d in range(r0 + 1))
+    v_all_r0 = all(v == r0 for v in A.isx.degrees)
     holds = symmetric_sum and v_all_r0
     if not holds:
         if not v_all_r0:
             witness = {
                 "reason": "v_number_below_regularity",
-                "v": isx.v_number,
+                "v": A.isx.v_number,
                 "r0": r0,
             }
         else:
-            bad = next(
-                d for d in range(r0 + 1) if Hval(d) + Hval(r0 - d - 1) != m
-            )
-            witness = {
-                "reason": "hilbert_sum",
-                "d": bad,
-                "sum": Hval(bad) + Hval(r0 - bad - 1),
-                "m": m,
-            }
+            bad = next(d for d in range(r0 + 1) if hsum(d) != m)
+            witness = {"reason": "hilbert_sum", "d": bad, "sum": hsum(bad), "m": m}
         return DualityCertificate(symmetric_sum, v_all_r0, False, None, [], witness)
 
-    C_r0m1 = _code_at(X, gb, r0 - 1)
+    C_r0m1 = A.code(r0 - 1)
     if C_r0m1.dimension != m - 1:
         raise InternalInconsistency("H(r0-1) must be m-1 when condition (b) holds")
-    N = linalg.nullspace(f, C_r0m1.basis)
+    N = A.dual(r0 - 1).basis
     if N.shape[0] != 1:
         raise InternalInconsistency("parity-check space must be one-dimensional")
     beta = N[0]
@@ -104,10 +88,9 @@ def global_duality(X, gb, hd, isx, check_min_distance=True):
 
     verified = []
     for d in range(r0 + 1):
-        lhs = dual_code(_code_at(X, gb, d))
-        rhs_code = _code_at(X, gb, r0 - d - 1)
+        rhs_code = A.code(r0 - d - 1)
         rhs = rhs_code.scaled(beta) if rhs_code.dimension else rhs_code
-        if not lhs == rhs:
+        if not A.dual(d) == rhs:
             raise InternalInconsistency(
                 f"direct duality verification failed at degree {d}"
             )
@@ -135,19 +118,18 @@ def gorenstein_crosscheck(cert, cls):
     return cert.holds
 
 
-def local_duality_verify(X, gb, isx, gamma1, gamma2, t_e, projective_mode=False, hd=None):
-    """Verify the essential-monomial duality for subsets Gamma1, Gamma2.
+def local_duality_verify(A, gamma1, gamma2, t_e, projective_mode=False):
+    """Verify the essential-monomial duality for subsets Gamma1, Gamma2 of
+    the standard monomials of the ``Analysis`` A.
 
     Checks (1) d + k = r0 (relaxed to <= in projective mode), (2)
     |Gamma1| + |Gamma2| = m, (3) t_e absent from every remainder of u1*u2;
     then confirms gamma . ev(K Gamma1) = ev(K Gamma2)^perp with
     gamma_i = (coefficient of t_e in f_i) / f_i(P_i).
     """
+    X, isx = A.X, A.isx
     f = X.field
-    m = X.m
-    if hd is None:
-        hd = hilbert_data(gb, m, nvars=X.s)
-    r0 = hd.r0
+    m, r0 = X.m, A.hd.r0
     t_e = tuple(t_e)
     if t_e not in set(isx.essential):
         raise NotEssential(f"{t_e} is not an essential monomial")
@@ -168,7 +150,7 @@ def local_duality_verify(X, gb, isx, gamma1, gamma2, t_e, projective_mode=False,
     if len(d) != 1 or len(k) != 1:
         raise ConditionFailed(1, "subsets must be homogeneous in degree")
     d, k = d.pop(), k.pop()
-    std = standard_monomials_upto(gb, X.s, max(d, k))
+    std = standard_monomials_upto(A.gb, X.s, max(d, k))
     if not set(gamma1) <= set(std[d]) or not set(gamma2) <= set(std[k]):
         raise ConditionFailed(1, "subsets must consist of standard monomials")
     if projective_mode:
@@ -183,7 +165,7 @@ def local_duality_verify(X, gb, isx, gamma1, gamma2, t_e, projective_mode=False,
     for u1 in gamma1:
         for u2 in gamma2:
             prod = Poly.monomial(f, X.s, tuple(a + b for a, b in zip(u1, u2)))
-            rem = normal_form(prod, gb)
+            rem = normal_form(prod, A.gb)
             if t_e in rem.terms:
                 raise ConditionFailed(
                     3, f"{t_e} appears in the remainder of a product"
@@ -207,58 +189,55 @@ def local_duality_verify(X, gb, isx, gamma1, gamma2, t_e, projective_mode=False,
     }
 
 
-def self_orthogonal(X, gb, d, hd=None):
+def self_orthogonal(A, d):
     """C_X(d) subset of its dual, via the all-ones parity condition on
     C_X(2d), cross-checked against the direct containment test."""
+    X = A.X
     f = X.field
-    if hd is None:
-        hd = hilbert_data(gb, X.m, nvars=X.s)
-    monos2d = standard_monomials_upto(gb, X.s, 2 * d)[2 * d]
-    sums = X.eval_monomials(monos2d).copy()
-    ones_in_dual = all(int(_row_sum(f, row)) == 0 for row in sums)
-    C = code_of_degree(X, gb, d)
-    direct = dual_code(C).contains_code(C)
-    if ones_in_dual != direct:
+    monos2d = standard_monomials_upto(A.gb, X.s, 2 * d)[2 * d]
+    ones_in_dual = _ones_parity(f, X.eval_monomials(monos2d))
+    if ones_in_dual != A.dual(d).contains_code(A.code(d)):
         raise InternalInconsistency(
             "parity-sum self-orthogonality test disagrees with direct RREF test"
         )
     return ones_in_dual
 
 
-def self_dual(X, gb, d, hd=None):
-    if hd is None:
-        hd = hilbert_data(gb, X.m, nvars=X.s)
-    H_d = hd.H[d] if d <= hd.r0 else X.m
-    result = self_orthogonal(X, gb, d, hd) and X.m == 2 * H_d
-    C = code_of_degree(X, gb, d)
-    direct = C == dual_code(C)
-    if result != direct:
+def self_dual(A, d):
+    result = self_orthogonal(A, d) and A.X.m == 2 * A.hd.value(d)
+    if result != (A.code(d) == A.dual(d)):
         raise InternalInconsistency(
             "self-duality criterion disagrees with direct RREF equality"
         )
     return result
 
 
-def _row_sum(field, row):
-    total = 0
-    for x in row:
-        total = field.add(total, int(x))
-    return total
+def _ones_parity(field, rows):
+    """True when the all-ones vector is orthogonal to every row."""
+    for row in rows:
+        total = 0
+        for x in row:
+            total = field.add(total, int(x))
+        if total:
+            return False
+    return True
 
 
-def self_dual_report(X, gb, hd):
+def self_dual_report(A):
     """Per-degree self-orthogonal / self-dual classification for 0..r0."""
-    so = [d for d in range(hd.r0 + 1) if self_orthogonal(X, gb, d, hd)]
-    sd = [d for d in range(hd.r0 + 1) if self_dual(X, gb, d, hd)]
+    degrees = range(A.hd.r0 + 1)
+    so = [d for d in degrees if self_orthogonal(A, d)]
+    sd = [d for d in degrees if self_dual(A, d)]
     return {"self_orthogonal_degrees": so, "self_dual_degrees": sd}
 
 
-def gorenstein_selfdual_classify(X, gb, hd, cls):
+def gorenstein_selfdual_classify(A, cls):
     """Classification of (monomially) self-dual degrees over a Gorenstein
     ideal: monomially self-dual iff r0 = 2d+1; strictly self-dual iff the
     all-ones vector is additionally a parity check of C_X(2d)."""
     if not cls.gorenstein:
         raise NotGorenstein("classification requires a Gorenstein ideal")
+    X, hd = A.X, A.hd
     f = X.field
     m, r0 = X.m, hd.r0
     report = []
@@ -266,12 +245,10 @@ def gorenstein_selfdual_classify(X, gb, hd, cls):
         mono_sd = r0 == 2 * d + 1
         strict_sd = False
         if mono_sd:
-            monos2d = standard_monomials_upto(gb, X.s, 2 * d)[2 * d]
-            sums = X.eval_monomials(monos2d)
-            ones_parity = all(int(_row_sum(f, row)) == 0 for row in sums)
-            H2d = hd.H[2 * d] if 2 * d <= r0 else m
-            strict_sd = ones_parity and H2d == m - 1
-            if strict_sd != self_dual(X, gb, d, hd):
+            monos2d = standard_monomials_upto(A.gb, X.s, 2 * d)[2 * d]
+            ones_parity = _ones_parity(f, X.eval_monomials(monos2d))
+            strict_sd = ones_parity and hd.value(2 * d) == m - 1
+            if strict_sd != self_dual(A, d):
                 raise InternalInconsistency(
                     "parity-check classification disagrees with direct self-duality"
                 )
@@ -299,13 +276,3 @@ def gorenstein_selfdual_classify(X, gb, hd, cls):
             entry["point_matrix_self_dual"] = matrix_sd
         report.append(entry)
     return report
-
-
-def affine_duality(field, affine_rows, check_min_distance=True):
-    """The affine criterion via the projective closure Y = [X, 1]."""
-    Y = projective_closure(field, affine_rows)
-    gb = vanishing_ideal(Y, GREVLEX)
-    hd = hilbert_data(gb, Y.m, nvars=Y.s)
-    isx = standard_indicators(Y, gb)
-    cert = global_duality(Y, gb, hd, isx, check_min_distance=check_min_distance)
-    return cert, {"affine_hilbert_function": list(hd.H), "r0": hd.r0}, (Y, gb, hd, isx)

@@ -591,11 +591,6 @@ class FqElement:
         return self.field.format_element(self.code)
 
 
-def field_create(p, k=1, modulus=None):
-    """Validated F_{p^k} with its designated primitive generator."""
-    return Field(p, k, modulus)
-
-
 def primitive_element(field):
     """The ordering-smallest element of multiplicative order q-1."""
     return FqElement(field, field.generator)

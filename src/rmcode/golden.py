@@ -14,36 +14,19 @@ from importlib import resources
 
 import numpy as np
 
+from .analysis import Analysis, affine_duality
 from .artinian import classify, verify_socle_identities
-from .codes import (
-    LinearCode,
-    code_of_degree,
-    dual_code,
-    min_distance,
-    monomially_equivalent,
-    weight_matrix,
-)
+from .codes import LinearCode, min_distance, monomially_equivalent, weight_matrix
 from .duality import (
-    affine_duality,
     global_duality,
     gorenstein_crosscheck,
     gorenstein_selfdual_classify,
     local_duality_verify,
     self_dual_report,
 )
-from .groebner import (
-    buchberger,
-    minimal_generator_count,
-    standard_monomials_upto,
-)
-from .indicators import standard_indicators
+from .groebner import buchberger, minimal_generator_count, standard_monomials_upto
 from .polyring import GREVLEX, parse_monomial, parse_poly
-from .variety import (
-    hilbert_data,
-    points_parse,
-    symmetry_equiv_check,
-    vanishing_ideal,
-)
+from .variety import points_parse
 
 CORPUS = (
     "ci_four_points",
@@ -113,10 +96,8 @@ def run_entry(name, expected=None, budget=None):
     s = X.s
 
     res.record("m", X.m == exp["m"], f"m={X.m}")
-    gb = vanishing_ideal(X, order)
-    hd = hilbert_data(gb, X.m, nvars=s)
-    isx = standard_indicators(X, gb)
-    symmetry_equiv_check(hd)
+    A = Analysis(X, order)
+    gb, hd, isx = A.gb, A.hd, A.isx
 
     res.record("r0", hd.r0 == exp["r0"], f"r0={hd.r0}")
     res.record("H", list(hd.H) == exp["H"], f"H={list(hd.H)}")
@@ -164,13 +145,13 @@ def run_entry(name, expected=None, budget=None):
         ok = True
         detail = []
         for dstr, val in exp["min_distance"].items():
-            got = min_distance(code_of_degree(X, gb, int(dstr)))
+            got = min_distance(A.code(int(dstr)))
             detail.append(f"d{dstr}={got}")
             ok = ok and got == val
         res.record("min_distance", ok, " ".join(detail))
 
     if "mds_at_1" in exp:
-        delta1 = min_distance(code_of_degree(X, gb, 1))
+        delta1 = min_distance(A.code(1))
         is_mds = delta1 == X.m - hd.H[1] + 1
         res.record("mds_at_1", is_mds == exp["mds_at_1"], f"delta(1)={delta1}")
 
@@ -179,7 +160,7 @@ def run_entry(name, expected=None, budget=None):
 
     cert = None
     if "duality" in exp:
-        cert = global_duality(X, gb, hd, isx)
+        cert = global_duality(A)
         dx = exp["duality"]
         ok = cert.holds == dx["holds"]
         detail = f"holds={cert.holds}"
@@ -200,13 +181,13 @@ def run_entry(name, expected=None, budget=None):
 
     if "dual_pairs_direct" in exp:
         ok = all(
-            dual_code(code_of_degree(X, gb, d1)) == code_of_degree(X, gb, d2)
+            A.dual(d1) == A.code(d2)
             for d1, d2 in exp["dual_pairs_direct"]
         )
         res.record("dual_pairs_direct", ok)
 
     if "self_orthogonal_degrees" in exp or "self_dual_degrees" in exp:
-        rep = self_dual_report(X, gb, hd)
+        rep = self_dual_report(A)
         if "self_orthogonal_degrees" in exp:
             res.record(
                 "self_orthogonal_degrees",
@@ -225,7 +206,7 @@ def run_entry(name, expected=None, budget=None):
         h_override = (
             parse_poly(f, s, exp["artinian_h"]) if "artinian_h" in exp else None
         )
-        cls = classify(X, gb, hd, h=h_override)
+        cls = classify(A, h=h_override)
         gx = exp["gorenstein"]
         ok = cls.gorenstein == gx["gorenstein"]
         detail = f"gorenstein={cls.gorenstein} type={cls.type_}"
@@ -264,7 +245,7 @@ def run_entry(name, expected=None, budget=None):
 
     if "socle" in exp and cls is not None and cls.gorenstein:
         sx = exp["socle"]
-        rep = verify_socle_identities(cls, isx, gb, X, hd)
+        rep = verify_socle_identities(A, cls)
         ok = True
         if "socle_monomial" in sx:
             ok = cls.socle_monomial == parse_monomial(s, sx["socle_monomial"])
@@ -274,7 +255,7 @@ def run_entry(name, expected=None, budget=None):
         res.record("socle", ok, f"t^a={cls.socle_monomial} lambdas={rep['lambdas']}")
 
     if "point_matrix_self_dual_at_1" in exp and cls is not None:
-        rep = gorenstein_selfdual_classify(X, gb, hd, cls)
+        rep = gorenstein_selfdual_classify(A, cls)
         entry = next(e for e in rep if e["d"] == 1)
         res.record(
             "point_matrix_self_dual_at_1",
@@ -282,7 +263,7 @@ def run_entry(name, expected=None, budget=None):
             str(entry),
         )
     if "monomially_self_dual_degrees" in exp and cls is not None:
-        rep = gorenstein_selfdual_classify(X, gb, hd, cls)
+        rep = gorenstein_selfdual_classify(A, cls)
         got = [e["d"] for e in rep if e["monomially_self_dual"]]
         res.record(
             "monomially_self_dual_degrees",
@@ -292,8 +273,7 @@ def run_entry(name, expected=None, budget=None):
         # a monomially self-dual degree carries a verified witness
         for e in rep:
             if e["monomially_self_dual"] and cert is not None and cert.holds:
-                C = code_of_degree(X, gb, e["d"])
-                ok = monomially_equivalent(C, dual_code(C), cert.beta)
+                ok = monomially_equivalent(A.code(e["d"]), A.dual(e["d"]), cert.beta)
                 res.record("monomial_equivalence_witness", ok, f"d={e['d']}")
 
     if "local_duality" in exp:
@@ -301,9 +281,7 @@ def run_entry(name, expected=None, budget=None):
         g1 = [parse_monomial(s, t) for t in lx["gamma1"]]
         g2 = [parse_monomial(s, t) for t in lx["gamma2"]]
         te = parse_monomial(s, lx["t_e"])
-        rep = local_duality_verify(
-            X, gb, isx, g1, g2, te, projective_mode=lx["projective_mode"], hd=hd
-        )
+        rep = local_duality_verify(A, g1, g2, te, projective_mode=lx["projective_mode"])
         want = [f.parse_element(t) for t in lx["gamma"]]
         res.record("local_duality", rep["gamma"] == want, f"gamma={rep['gamma']}")
         if "ev_gamma1_span" in lx:
@@ -318,7 +296,7 @@ def run_entry(name, expected=None, budget=None):
             res.record("local_duality_spans", ok)
 
     if "weight_matrix" in exp:
-        wm = weight_matrix(X, gb, hd, isx, budget=budget)
+        wm = weight_matrix(A, budget=budget)
         ok = True
         for d in range(1, hd.r0 + 1):
             for r in range(1, X.m + 1):

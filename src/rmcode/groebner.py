@@ -23,18 +23,25 @@ from .polyring import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroebnerBasis:
-    """A list of monic generators under a fixed graded order.
+    """A tuple of monic generators under a fixed graded order.
 
     ``certified`` is set once every S-polynomial has been checked to reduce
     to zero (Buchberger's criterion), i.e. once the list is known to be an
-    actual Groebner basis.
+    actual Groebner basis.  The basis is immutable, so the staircase that
+    ``standard_monomials_upto`` memoizes on it cannot go stale.
     """
 
     order: TermOrder
-    gens: list = dc_field(default_factory=list)
-    certified: bool = False
+    gens: tuple = ()
+    certified: bool = dc_field(default=False, compare=False)
+    _staircase: dict = dc_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        object.__setattr__(self, "gens", tuple(self.gens))
 
     @property
     def field(self):
@@ -52,13 +59,6 @@ class GroebnerBasis:
 
     def to_strings(self):
         return [g.to_str(self.order) for g in self.gens]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroebnerBasis)
-            and self.order == other.order
-            and self.gens == other.gens
-        )
 
 
 def normal_form(f, gb):
@@ -126,13 +126,11 @@ def buchberger(gens, order):
         leads.append(G[-1].leading_monomial(order))
         push_pairs(len(G) - 1)
 
-    probe = GroebnerBasis(order, G)
     while heap:
         _, _, i, j = heapq.heappop(heap)
         if monomial_coprime(leads[i], leads[j]):
             continue
-        probe.gens = G
-        r = normal_form(_spoly(G[i], G[j], order), probe)
+        r = normal_form(_spoly(G[i], G[j], order), GroebnerBasis(order, G))
         if not r.is_zero():
             G.append(r.monic(order))
             leads.append(G[-1].leading_monomial(order))
@@ -168,33 +166,28 @@ def gb_certify(gb):
     return True
 
 
-def standard_monomials(gb, d, nvars=None):
-    """All degree-d monomials outside the initial ideal, descending."""
-    leads = gb.leading_monomials()
-    nv = nvars if nvars is not None else gb.nvars
-    if nv == 0:
-        raise ValueError("basis of an unknown ring; pass nvars explicitly")
-    out = [
-        u
-        for u in monomials_of_degree(nv, d)
-        if not any(monomial_divides(m, u) for m in leads)
-    ]
-    return gb.order.sorted_desc(out)
-
-
 def standard_monomials_upto(gb, nvars, dmax):
-    """Per-degree standard monomials for d = 0..dmax (works for the zero ideal)."""
-    leads = gb.leading_monomials()
-    order = gb.order
-    out = []
-    for d in range(dmax + 1):
-        monos = [
-            u
-            for u in monomials_of_degree(nvars, d)
-            if not any(monomial_divides(m, u) for m in leads)
-        ]
-        out.append(order.sorted_desc(monos))
-    return out
+    """Per-degree standard monomials for d = 0..dmax, each layer descending
+    (works for the zero ideal).  The layers are computed once per basis and
+    ring and shared, as tuples, by every caller."""
+    layers = gb._staircase.setdefault(nvars, [])
+    if len(layers) <= dmax:
+        leads = gb.leading_monomials()
+        while len(layers) <= dmax:
+            nxt = _next_layer(layers[-1] if layers else None, nvars, leads)
+            layers.append(tuple(gb.order.sorted_desc(nxt)))
+    return layers[: dmax + 1]
+
+
+def _next_layer(layer, nvars, leads):
+    """The monomials of degree e + 1 that no monomial of ``leads`` divides,
+    given those of degree e (``None`` gives degree 0).  They form an order
+    ideal, so each one is a variable times one of degree e."""
+    if layer is None:
+        cands = {(0,) * nvars}
+    else:
+        cands = {u[:i] + (u[i] + 1,) + u[i + 1 :] for u in layer for i in range(nvars)}
+    return [v for v in cands if not any(monomial_divides(g, v) for g in leads)]
 
 
 # -- monomial ideals -----------------------------------------------------------
@@ -211,10 +204,14 @@ def _minimalize(monos):
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal given by its minimal generators."""
+    """A monomial ideal given by its minimal generators; the per-degree
+    standard monomials are grown once and kept."""
 
     s: int
     gens: tuple
+    _layers: list = dc_field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "gens", _minimalize(self.gens))
@@ -226,7 +223,11 @@ class MonomialIdeal:
         return not self.gens
 
     def standard_count(self, d):
-        return sum(1 for u in monomials_of_degree(self.s, d) if not self.contains(u))
+        layers = self._layers
+        while len(layers) <= d:
+            below = layers[-1] if layers else None
+            layers.append(_next_layer(below, self.s, self.gens))
+        return len(layers[d])
 
     def colon_monomial(self, m):
         """(self : t^m), generated by lcm(g, t^m)/t^m."""

@@ -11,6 +11,7 @@ from . import linalg
 from .errors import InternalInconsistency
 from .groebner import standard_monomials_upto
 from .polyring import Poly
+from .variety import hilbert_data
 
 
 @dataclass
@@ -35,6 +36,8 @@ class IndicatorSet:
 
     @property
     def v_sorted(self):
+        """The r-th v-numbers: entry r - 1 predicts the regularity index of
+        the r-th generalized Hamming weight function."""
         return tuple(sorted(self.degrees))
 
     def as_dict(self, order):
@@ -91,15 +94,9 @@ def standard_indicators(X, gb):
     """
     f = X.field
     m = X.m
-    # degrees are bounded by r0; compute standard monomials until count = m
-    per_degree = []
-    d = 0
-    while True:
-        per_degree = standard_monomials_upto(gb, X.s, d)
-        if len(per_degree[d]) == m:
-            break
-        d += 1
-    r0 = d
+    # degrees are bounded by r0
+    r0 = hilbert_data(gb, m, nvars=X.s).r0
+    per_degree = standard_monomials_upto(gb, X.s, r0)
 
     fs = [None] * m
     degrees = [None] * m
@@ -144,28 +141,18 @@ def standard_indicators(X, gb):
     return IndicatorSet(fs, values, degrees, essential, r0)
 
 
-def v_numbers(isx):
-    """(v(I), local v-numbers, r-th v-numbers).
-
-    The r-th entry of the sorted vector predicts the regularity index of the
-    r-th generalized Hamming weight function.
-    """
-    return isx.v_number, list(isx.degrees), list(isx.v_sorted)
-
-
-def colon_witness(X, gb, i, isx=None):
-    """f_i, re-verified: correct vanishing pattern, and no standard
-    polynomial of smaller degree separates P_i (the system at degree
-    v_i - 1 is infeasible)."""
-    if isx is None:
-        isx = standard_indicators(X, gb)
+def colon_witness(A, i):
+    """f_i of the ``Analysis`` A, re-verified: correct vanishing pattern,
+    and no standard polynomial of smaller degree separates P_i (the system
+    at degree v_i - 1 is infeasible)."""
+    X, isx = A.X, A.isx
     f = X.field
     fi = isx.fs[i]
     vi = isx.degrees[i]
     vec = X.eval_poly(fi)
     assert vec[i] != 0 and all(vec[j] == 0 for j in range(X.m) if j != i)
     if vi > 0:
-        monos = standard_monomials_upto(gb, X.s, vi - 1)[vi - 1]
+        monos = standard_monomials_upto(A.gb, X.s, vi - 1)[vi - 1]
         if monos:
             A = X.eval_monomials(monos)
             e_i = np.zeros(X.m, dtype=np.int64)

@@ -93,11 +93,6 @@ class TermOrder:
 GREVLEX = TermOrder("grevlex")
 
 
-def monomial_compare(order, u, v):
-    """-1, 0 or 1 as u <, =, > v under the order."""
-    return order.compare(u, v)
-
-
 # -- polynomials ----------------------------------------------------------------
 
 
@@ -411,12 +406,6 @@ def parse_poly(field, nvars, text, var_names=None):
             coeff = field.neg(coeff)
         out = out + Poly.monomial(field, nvars, tuple(expo), coeff)
     return out
-
-
-def poly_eval(f, point):
-    """Exact evaluation of f at a point (list of codes or FqElements)."""
-    coords = [getattr(x, "code", x) for x in point]
-    return f.evaluate(coords)
 
 
 def format_monomial(u, var_names=None):

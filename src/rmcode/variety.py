@@ -22,8 +22,14 @@ from .errors import (
     ZeroPoint,
 )
 from .gf import Field
-from .groebner import GroebnerBasis, buchberger, gb_certify
-from .polyring import GREVLEX, Poly, TermOrder, monomials_of_degree
+from .groebner import (
+    GroebnerBasis,
+    _next_layer,
+    buchberger,
+    gb_certify,
+    standard_monomials_upto,
+)
+from .polyring import GREVLEX, Poly, TermOrder
 
 
 class PointSet:
@@ -293,19 +299,13 @@ def vanishing_ideal(X, order=GREVLEX):
     leads = []
     r0 = None
     d = 0
+    accepted = _next_layer(None, s, leads)
     pow_cols = X.power_columns(8)
     while True:
         d += 1
         if len(pow_cols[0]) <= d:
             pow_cols = X.power_columns(2 * d)
-        candidates = sorted(
-            (
-                u
-                for u in monomials_of_degree(s, d)
-                if not any(_divides(v, u) for v in leads)
-            ),
-            key=order.key,
-        )
+        candidates = sorted(_next_layer(accepted, s, leads), key=order.key)
         accepted = []          # standard monomials of degree d
         basis_rows = []        # their evaluation vectors, row-reduced
         combos = []            # expression of each reduced row over `accepted`
@@ -350,7 +350,7 @@ def vanishing_ideal(X, order=GREVLEX):
 
     gb = GroebnerBasis(order, sorted(gens, key=lambda g: order.key(g.leading_monomial(order))))
     if gb_certify(gb):
-        gb.certified = True
+        gb = GroebnerBasis(order, gb.gens, certified=True)
     else:
         gb = buchberger(gens, order)
         if not gb_certify(gb):
@@ -360,10 +360,6 @@ def vanishing_ideal(X, order=GREVLEX):
         if np.any(X.eval_poly(g)):
             raise InternalInconsistency("basis element does not vanish on X")
     return gb
-
-
-def _divides(u, v):
-    return all(a <= b for a, b in zip(u, v))
 
 
 def _pivot(row):
@@ -382,6 +378,12 @@ class HilbertData:
     a_invariant: int
     symmetric: bool
 
+    def value(self, d):
+        """H_X(d) for every integer d: 0 below 0, m from r0 on."""
+        if d < 0:
+            return 0
+        return self.H[d] if d <= self.r0 else self.degree
+
     def as_dict(self):
         return {
             "H": list(self.H),
@@ -397,16 +399,11 @@ def hilbert_data(gb, m, nvars=None):
     """Hilbert function, regularity index and h-vector from standard-monomial
     counts of a certified vanishing-ideal basis."""
     nv = nvars if nvars is not None else gb.nvars
-    leads = gb.leading_monomials()
     H = [1]
     d = 0
     while H[-1] != m:
         d += 1
-        count = sum(
-            1
-            for u in monomials_of_degree(nv, d)
-            if not any(_divides(v, u) for v in leads)
-        )
+        count = len(standard_monomials_upto(gb, nv, d)[d])
         if count <= H[-1] and count != m:
             raise InternalInconsistency(
                 "Hilbert function must strictly increase until it reaches m"
@@ -424,13 +421,7 @@ def symmetry_equiv_check(hd):
     """h-vector symmetry, re-derived from H-products, with the equivalence
     between the two formulations asserted."""
     r0, m = hd.r0, hd.degree
-
-    def Hval(d):
-        if d < 0:
-            return 0
-        return hd.H[d] if d <= r0 else m
-
-    via_sums = all(Hval(d) + Hval(r0 - d - 1) == m for d in range(r0 + 1))
+    via_sums = all(hd.value(d) + hd.value(r0 - d - 1) == m for d in range(r0 + 1))
     if via_sums != hd.symmetric:
         raise InternalInconsistency(
             "h-vector symmetry disagrees with the Hilbert-sum formulation"

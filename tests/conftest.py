@@ -2,16 +2,10 @@ import itertools
 
 import pytest
 
+from rmcode.analysis import Analysis
 from rmcode.gf import Field
-from rmcode.indicators import standard_indicators
 from rmcode.polyring import GREVLEX, TermOrder
-from rmcode.variety import (
-    PointSet,
-    hilbert_data,
-    points_full_projective,
-    projective_closure,
-    vanishing_ideal,
-)
+from rmcode.variety import PointSet, points_full_projective, projective_closure
 
 
 @pytest.fixture(scope="session")
@@ -35,24 +29,24 @@ def F9():
 
 
 def run_pipeline(X, order=GREVLEX):
-    gb = vanishing_ideal(X, order)
-    hd = hilbert_data(gb, X.m, nvars=X.s)
-    isx = standard_indicators(X, gb)
-    return gb, hd, isx
+    """The Analysis of X with its basis, Hilbert data and indicators built."""
+    A = Analysis(X, order)
+    A.gb, A.hd, A.isx
+    return A
 
 
 @pytest.fixture(scope="session")
 def four_points(F3):
     """Complete-intersection quadruple in P^3 over F_3."""
     X = PointSet(F3, [[2, 2, 2, 1], [1, 1, 1, 1], [0, 1, 1, 1], [0, 2, 2, 1]])
-    return (X,) + run_pipeline(X)
+    return run_pipeline(X)
 
 
 @pytest.fixture(scope="session")
 def five_points_socle(F3):
     """Gorenstein non-CI quintuple in P^3 over F_3."""
     X = PointSet(F3, [[1, 0, 2, 1], [1, 0, 1, 1], [0, 1, 2, 2], [0, 0, 1, 2], [0, 1, 1, 1]])
-    return (X,) + run_pipeline(X)
+    return run_pipeline(X)
 
 
 @pytest.fixture(scope="session")
@@ -60,14 +54,14 @@ def nine_points(F3):
     """Projective closure of the affine plane over F_3."""
     rows = [list(t) for t in itertools.product(range(3), repeat=2)]
     X = projective_closure(F3, rows)
-    return (X,) + run_pipeline(X)
+    return run_pipeline(X)
 
 
 @pytest.fixture(scope="session")
 def five_points_frame(F3):
     """Coordinate frame plus a diagonal point in P^3 over F_3."""
     X = PointSet(F3, [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1], [2, 2, 2, 1]])
-    return (X,) + run_pipeline(X)
+    return run_pipeline(X)
 
 
 @pytest.fixture(scope="session")
@@ -79,7 +73,7 @@ def ten_points(F3):
         [[1, 0, 1], [1, 0, 0], [1, 0, 2], [1, 1, 0], [1, 1, 1],
          [1, 1, 2], [0, 0, 1], [0, 1, 0], [0, 1, 1], [0, 1, 2]],
     )
-    return (X,) + run_pipeline(X, order)
+    return run_pipeline(X, order)
 
 
 @pytest.fixture(scope="session")
@@ -88,10 +82,10 @@ def seven_points(F3):
         F3,
         [[1, 0, 1], [1, 1, 1], [1, 1, 2], [0, 0, 1], [0, 1, 0], [0, 1, 1], [0, 1, 2]],
     )
-    return (X,) + run_pipeline(X)
+    return run_pipeline(X)
 
 
 @pytest.fixture(scope="session")
 def plane_f3(F3):
     X = points_full_projective(3, F3)
-    return (X,) + run_pipeline(X)
+    return run_pipeline(X)

@@ -8,6 +8,7 @@ import time
 import numpy as np
 
 from rmcode import linalg
+from rmcode.analysis import Analysis
 from rmcode.artinian import classify, verify_socle_identities
 from rmcode.codes import (
     code_of_degree,
@@ -35,11 +36,7 @@ def _report(criterion, ok, detail):
 def _pipeline(name):
     text, expected = load_entry(name)
     X, order = points_parse(text)
-    order = order or GREVLEX
-    gb = vanishing_ideal(X, order)
-    hd = hilbert_data(gb, X.m, nvars=X.s)
-    isx = standard_indicators(X, gb)
-    return X, order, gb, hd, isx, expected
+    return Analysis(X, order or GREVLEX), expected
 
 
 def test_criterion_1_golden_corpus():
@@ -62,8 +59,9 @@ def test_criterion_2_weight_matrices():
     ok = True
     details = []
     for name in ("ten_points_p2_f3", "seven_points_p2_f3"):
-        X, order, gb, hd, isx, expected = _pipeline(name)
-        wm = weight_matrix(X, gb, hd, isx, budget=budget)
+        A, expected = _pipeline(name)
+        X, hd = A.X, A.hd
+        wm = weight_matrix(A, budget=budget)
         want = expected["weight_matrix"]
         for d in range(1, hd.r0 + 1):
             k = hd.H[d]
@@ -97,16 +95,16 @@ def test_criterion_3_duality_certificates():
         "torus_p1_f5": ("-1", "3", "-3", "1"),
     }
     for name, beta_text in holding.items():
-        X, order, gb, hd, isx, _ = _pipeline(name)
-        cert = global_duality(X, gb, hd, isx)
+        A, _ = _pipeline(name)
+        X, hd = A.X, A.hd
+        cert = global_duality(A)
         good = cert.holds and cert.verified_degrees == list(range(hd.r0 + 1))
         want = [X.field.parse_element(t) for t in beta_text]
         ratios = {X.field.div(int(g), int(e)) for g, e in zip(cert.beta, want)}
         good = good and len(ratios) == 1 and 0 not in ratios
         ok = ok and good
         details.append(f"{name}: holds, beta up to scalar")
-    X, order, gb, hd, isx, _ = _pipeline("ten_points_p2_f3")
-    cert = global_duality(X, gb, hd, isx)
+    cert = global_duality(_pipeline("ten_points_p2_f3")[0])
     good = (
         not cert.holds
         and cert.failure_witness["reason"] == "v_number_below_regularity"
@@ -128,8 +126,7 @@ def test_criterion_4_self_dual_classification():
         ("projective_plane_f3", [1, 2], []),
         ("selfdual_f4", [0, 1], [1]),
     ):
-        X, order, gb, hd, isx, _ = _pipeline(name)
-        rep = self_dual_report(X, gb, hd)
+        rep = self_dual_report(_pipeline(name)[0])
         ok = ok and rep["self_orthogonal_degrees"] == so
         ok = ok and rep["self_dual_degrees"] == sd
         details.append(f"{name}: so={rep['self_orthogonal_degrees']} sd={rep['self_dual_degrees']}")
@@ -142,21 +139,21 @@ def test_criterion_5_gorenstein_pipeline():
     ok = True
     details = []
 
-    X, order, gb, hd, isx, expected = _pipeline("gorenstein_not_ci")
-    cls = classify(X, gb, hd, h=parse_poly(X.field, X.s, "t1+t4"))
+    A, _ = _pipeline("gorenstein_not_ci")
+    X, gb, hd = A.X, A.gb, A.hd
+    cls = classify(A, h=parse_poly(X.field, X.s, "t1+t4"))
     from rmcode.groebner import minimal_generator_count
     from rmcode.polyring import parse_monomial
 
     good = cls.gorenstein and minimal_generator_count(gb, hd.r0) != X.s - 1
     good = good and cls.socle_monomial == parse_monomial(4, "t3*t4")
     good = good and [g.to_str() for _, g in cls.socle] == ["t3*t4"]
-    rep = verify_socle_identities(cls, isx, gb, X, hd)
+    rep = verify_socle_identities(A, cls)
     good = good and all(lam != 0 for lam in rep["lambdas"])
     ok = ok and good
     details.append("socle K(t3*t4+J), every f_i remainder a unit multiple of t3*t4")
 
-    X, order, gb, hd, isx, _ = _pipeline("projective_plane_f3")
-    cls = classify(X, gb, hd)
+    cls = classify(_pipeline("projective_plane_f3")[0])
     good = cls.type_ == 2 and cls.s_number == 3 and not cls.level
     ok = ok and good
     details.append(f"plane: type={cls.type_} s_number={cls.s_number} level={cls.level}")
@@ -165,9 +162,9 @@ def test_criterion_5_gorenstein_pipeline():
     # (no InternalInconsistency, i.e. nothing that would exit 4)
     agree = 0
     for name in PRIMARY_EXAMPLES:
-        X, order, gb, hd, isx, _ = _pipeline(name)
-        cert = global_duality(X, gb, hd, isx)
-        cls = classify(X, gb, hd)
+        A, _ = _pipeline(name)
+        cert = global_duality(A)
+        cls = classify(A)
         try:
             gorenstein_crosscheck(cert, cls)
         except InternalInconsistency:
@@ -330,10 +327,11 @@ def test_criterion_6_property_suites():
 
 def test_criterion_7_ghw_regularity_indices():
     t0 = time.time()
-    X, order, gb, hd, isx, _ = _pipeline("seven_points_p2_f3")
+    A, _ = _pipeline("seven_points_p2_f3")
+    X, hd = A.X, A.hd
     values = {}
     for d in range(1, hd.r0 + 1):
-        C = code_of_degree(X, gb, d)
+        C = A.code(d)
         assert gaussian_binomial(C.dimension, C.dimension // 2, X.field.q) <= 10**6
         for r in range(1, C.dimension + 1):
             values[(d, r)] = ghw(C, r, limit=10**6)
@@ -341,6 +339,6 @@ def test_criterion_7_ghw_regularity_indices():
         min(d for d in range(1, hd.r0 + 1) if values.get((d, r)) == r)
         for r in range(1, X.m + 1)
     ]
-    ok = R == list(isx.v_sorted)
+    ok = R == list(A.isx.v_sorted)
     elapsed = time.time() - t0
     _report(7, ok, f"brute-force R={R} equals sorted v-numbers, {elapsed:.2f}s")

@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 
 import pytest
 
@@ -229,6 +230,54 @@ def test_analyze_rejects_characteristic_above_bound(tmp_path, capsys, p):
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and "2**31" in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_gorenstein_over_a_large_prime_field(tmp_path, capsys):
+    path = tmp_path / "big.points"
+    path.write_text(f"field {2**31 - 1} 1\nvars 3\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n")
+    t0 = time.perf_counter()
+    code = main(["analyze", str(path), "--gorenstein", "--duality", "--selfdual", "--json"])
+    assert code == 0 and time.perf_counter() - t0 < 5
+    report = json.loads(capsys.readouterr().out)
+    assert report["artinian"]["h"] == "t1+t2+t3"
+    assert report["artinian"]["extension_degree"] == 1
+
+
+@pytest.mark.parametrize("q", [2147483659, (2**31 + 11) ** 2, 2**61 - 1])
+def test_generate_rejects_a_characteristic_above_bound(capsys, q):
+    t0 = time.perf_counter()
+    assert main(["generate", "torus", "--q", str(q), "--vars", "2"]) == 2
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "2**31" in captured.err
+
+
+def _prime_power_by_trial_division(q):
+    """Oracle: (p, k) by scanning every p <= q, or None."""
+    p = next((p for p in range(2, q + 1) if q % p == 0), None)
+    if p is None:
+        return None
+    k = 0
+    while q > 1:
+        if q % p:
+            return None
+        q //= p
+        k += 1
+    return p, k
+
+
+def test_prime_power_matches_trial_division():
+    from rmcode.cli import _prime_power
+    from rmcode.errors import InvalidParams
+
+    for q in range(-2, 2001):
+        want = _prime_power_by_trial_division(q)
+        if want is None:
+            with pytest.raises(InvalidParams) as err:
+                _prime_power(q)
+            assert str(q) in str(err.value).split()
+        else:
+            assert _prime_power(q) == want
 
 
 # valid element literals of each field, and faults to put into a valid file

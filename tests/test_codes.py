@@ -31,7 +31,7 @@ from rmcode.variety import PointSet, hilbert_data, points_parse, vanishing_ideal
 
 
 def test_code_of_degree_zero_and_r0(nine_points):
-    X, gb, hd, _ = nine_points
+    X, gb, hd = nine_points.X, nine_points.gb, nine_points.hd
     C0 = code_of_degree(X, gb, 0)
     assert C0.dimension == 1 and C0.basis.tolist() == [[1] * 9]
     Cr = code_of_degree(X, gb, hd.r0)
@@ -39,7 +39,8 @@ def test_code_of_degree_zero_and_r0(nine_points):
 
 
 def test_code_dimension_is_hilbert_value(nine_points, seven_points, ten_points):
-    for X, gb, hd, _ in (nine_points, seven_points, ten_points):
+    for A in (nine_points, seven_points, ten_points):
+        X, gb, hd = A.X, A.gb, A.hd
         for d in range(hd.r0 + 2):
             expected = hd.H[d] if d <= hd.r0 else X.m
             assert code_of_degree(X, gb, d).dimension == expected
@@ -56,14 +57,14 @@ def test_dual_code_basics(F3):
 
 
 def test_dual_one_dimensional_for_four_points(four_points, F3):
-    X, gb, hd, _ = four_points
+    X, gb, hd = four_points.X, four_points.gb, four_points.hd
     D = dual_code(code_of_degree(X, gb, 1))
     gamma = [F3.parse_element(t) for t in ("-1", "-1", "1", "1")]
     assert D == LinearCode.from_rows(F3, [gamma])
 
 
 def test_min_distance_profile(nine_points):
-    X, gb, hd, _ = nine_points
+    X, gb, hd = nine_points.X, nine_points.gb, nine_points.hd
     assert [min_distance(code_of_degree(X, gb, d)) for d in (1, 2, 3, 4)] == [6, 3, 2, 1]
 
 
@@ -79,7 +80,7 @@ def test_min_distance_torus_mds(F5):
 
 
 def test_ghw_examples(ten_points):
-    X, gb, hd, _ = ten_points
+    X, gb, hd = ten_points.X, ten_points.gb, ten_points.hd
     assert ghw(code_of_degree(X, gb, 2), 2) == 5
     assert ghw(code_of_degree(X, gb, 1), 3) == 10
 
@@ -90,7 +91,8 @@ def test_ghw_full_space_r(F3):
 
 
 def test_ghw_matches_min_distance(nine_points, seven_points):
-    for X, gb, hd, _ in (nine_points, seven_points):
+    for A in (nine_points, seven_points):
+        X, gb, hd = A.X, A.gb, A.hd
         for d in range(1, hd.r0 + 1):
             C = code_of_degree(X, gb, d)
             assert ghw(C, 1) == min_distance(C)
@@ -143,15 +145,15 @@ def test_dual_involution_random(F3, F4, F5):
 
 
 def test_footprint_examples(ten_points):
-    X, gb, hd, _ = ten_points
+    X, gb, hd = ten_points.X, ten_points.gb, ten_points.hd
     assert footprint(gb, hd.r0, 1, nvars=X.s) == 1
     assert footprint(gb, hd.r0, 10, nvars=X.s) == 10
     assert footprint(gb, 2, 2, nvars=X.s) == 5
 
 
 def test_weight_matrix_rows_at_r0(seven_points):
-    X, gb, hd, isx = seven_points
-    wm = weight_matrix(X, gb, hd, isx)
+    X, hd = seven_points.X, seven_points.hd
+    wm = weight_matrix(seven_points)
     last_row = [wm.cell(hd.r0, r) for r in range(1, X.m + 1)]
     assert [c.value for c in last_row] == list(range(1, X.m + 1))
 
@@ -159,9 +161,9 @@ def test_weight_matrix_rows_at_r0(seven_points):
 def test_weight_matrix_honest_intervals_under_tiny_budget(seven_points):
     """With brute force starved, unresolved cells must stay intervals that
     bracket the true value, never a wrong exact value."""
-    X, gb, hd, isx = seven_points
-    full = weight_matrix(X, gb, hd, isx)
-    starved = weight_matrix(X, gb, hd, isx, budget=1)
+    X, hd = seven_points.X, seven_points.hd
+    full = weight_matrix(seven_points)
+    starved = weight_matrix(seven_points, budget=1)
     for d in range(1, hd.r0 + 1):
         for r in range(1, X.m + 1):
             truth = full.cell(d, r)
@@ -176,8 +178,8 @@ def test_weight_matrix_honest_intervals_under_tiny_budget(seven_points):
 
 
 def test_weight_matrix_infinity_convention(seven_points):
-    X, gb, hd, isx = seven_points
-    wm = weight_matrix(X, gb, hd, isx)
+    X, hd = seven_points.X, seven_points.hd
+    wm = weight_matrix(seven_points)
     for d in range(1, hd.r0 + 1):
         for r in range(1, X.m + 1):
             assert (wm.cell(d, r).kind == "infinity") == (r > hd.H[d])

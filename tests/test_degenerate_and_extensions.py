@@ -5,18 +5,13 @@ import random
 
 import numpy as np
 
+from rmcode.analysis import Analysis
 from rmcode.artinian import classify
 from rmcode.duality import global_duality, gorenstein_crosscheck
 from rmcode.gf import Field, search_modulus
 from rmcode.groebner import minimal_generator_count
-from rmcode.indicators import standard_indicators
 from rmcode.polyring import parse_poly
-from rmcode.variety import (
-    PointSet,
-    hilbert_data,
-    points_full_projective,
-    vanishing_ideal,
-)
+from rmcode.variety import PointSet, points_full_projective
 
 
 def test_search_modulus_outside_table():
@@ -30,28 +25,23 @@ def test_search_modulus_outside_table():
 
 def test_classification_through_f121():
     F11 = Field(11)
-    X = points_full_projective(2, F11)
-    gb = vanishing_ideal(X)
-    hd = hilbert_data(gb, X.m, nvars=2)
-    cls = classify(X, gb, hd)
+    A = Analysis(points_full_projective(2, F11))
+    cls = classify(A)
     assert cls.extension_degree == 2
     assert cls.gorenstein  # principal vanishing ideal, a complete intersection
-    assert minimal_generator_count(gb, hd.r0) == 1
+    assert minimal_generator_count(A.gb, A.hd.r0) == 1
 
 
 def test_points_inside_hyperplane(F3):
     """Coplanar points: the ideal picks up a linear form and the whole
     pipeline still runs (this is a projective line in disguise)."""
-    X = PointSet(F3, [[0, 1, 0], [0, 0, 1], [0, 1, 1], [0, 1, 2]])
-    gb = vanishing_ideal(X)
-    assert gb.to_strings() == ["t1", "t2^3*t3-t2*t3^3"]
-    hd = hilbert_data(gb, X.m, nvars=3)
-    assert hd.H == (1, 2, 3, 4)
-    isx = standard_indicators(X, gb)
-    assert isx.degrees == [3, 3, 3, 3]
-    cert = global_duality(X, gb, hd, isx)
+    A = Analysis(PointSet(F3, [[0, 1, 0], [0, 0, 1], [0, 1, 1], [0, 1, 2]]))
+    assert A.gb.to_strings() == ["t1", "t2^3*t3-t2*t3^3"]
+    assert A.hd.H == (1, 2, 3, 4)
+    assert A.isx.degrees == [3, 3, 3, 3]
+    cert = global_duality(A)
     assert cert.holds
-    cls = classify(X, gb, hd)
+    cls = classify(A)
     # the full line over F_3 admits no avoiding form over the base field
     assert cls.extension_degree == 2 and cls.gorenstein
     gorenstein_crosscheck(cert, cls)
@@ -59,10 +49,7 @@ def test_points_inside_hyperplane(F3):
 
 def test_char2_extension_path():
     F2 = Field(2)
-    X = points_full_projective(2, F2)
-    gb = vanishing_ideal(X)
-    hd = hilbert_data(gb, X.m, nvars=2)
-    cls = classify(X, gb, hd)
+    cls = classify(Analysis(points_full_projective(2, F2)))
     assert cls.extension_degree == 2
     assert cls.h == parse_poly(cls.h.field, 2, "t1+a*t2")
     assert cls.gorenstein
@@ -83,13 +70,11 @@ def test_medium_random_instance_crosscheck(F5):
         seen.add(key)
         rows.append(key)
     X = PointSet(F5, rows, canonicalize=False)
-    gb = vanishing_ideal(X)
-    hd = hilbert_data(gb, 20, nvars=4)
-    isx = standard_indicators(X, gb)
-    assert sum(hd.h_vector) == 20
-    assert max(isx.degrees) == hd.r0
-    cert = global_duality(X, gb, hd, isx)
-    cls = classify(X, gb, hd)
+    A = Analysis(X)
+    assert sum(A.hd.h_vector) == 20
+    assert max(A.isx.degrees) == A.hd.r0
+    cert = global_duality(A)
+    cls = classify(A)
     assert gorenstein_crosscheck(cert, cls) in (True, False)
-    for g in gb.gens:
+    for g in A.gb.gens:
         assert not np.any(X.eval_poly(g))

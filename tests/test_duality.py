@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from rmcode import linalg
-from rmcode.codes import code_of_degree, dual_code, min_distance
+from rmcode.analysis import Analysis, affine_duality
+from rmcode.codes import (
+    LinearCode,
+    code_of_degree,
+    dual_code,
+    min_distance,
+    monomially_equivalent,
+)
 from rmcode.duality import (
-    affine_duality,
     global_duality,
     gorenstein_crosscheck,
     gorenstein_selfdual_classify,
@@ -16,7 +22,7 @@ from rmcode.duality import (
 )
 from rmcode.errors import ConditionFailed, NotEssential, NotGorenstein
 from rmcode.polyring import parse_monomial
-from rmcode.variety import PointSet, hilbert_data, points_full_projective, vanishing_ideal
+from rmcode.variety import PointSet, points_full_projective
 from rmcode.artinian import classify
 
 
@@ -26,24 +32,22 @@ def _proportional(field, a, b):
 
 
 def test_global_duality_frame(five_points_frame, F3):
-    X, gb, hd, isx = five_points_frame
-    cert = global_duality(X, gb, hd, isx)
+    cert = global_duality(five_points_frame)
     assert cert.holds and cert.symmetric_sum and cert.v_all_r0
     want = [F3.parse_element(t) for t in ("-1", "-1", "-1", "1", "-1")]
     assert _proportional(F3, cert.beta, want)
-    assert cert.verified_degrees == list(range(hd.r0 + 1))
+    assert cert.verified_degrees == list(range(five_points_frame.hd.r0 + 1))
 
 
 def test_global_duality_nine_points(nine_points):
-    X, gb, hd, isx = nine_points
-    cert = global_duality(X, gb, hd, isx)
+    X, gb = nine_points.X, nine_points.gb
+    cert = global_duality(nine_points)
     assert cert.holds
     assert dual_code(code_of_degree(X, gb, 1)) == code_of_degree(X, gb, 2)
 
 
 def test_global_duality_failure_witness(ten_points):
-    X, gb, hd, isx = ten_points
-    cert = global_duality(X, gb, hd, isx)
+    cert = global_duality(ten_points)
     assert not cert.holds
     assert cert.failure_witness == {
         "reason": "v_number_below_regularity",
@@ -54,7 +58,7 @@ def test_global_duality_failure_witness(ten_points):
 
 def test_beta_uniqueness(five_points_frame):
     """The dual of C_X(r0-1) is one-dimensional when the criterion holds."""
-    X, gb, hd, isx = five_points_frame
+    X, gb, hd = five_points_frame.X, five_points_frame.gb, five_points_frame.hd
     C = code_of_degree(X, gb, hd.r0 - 1)
     N = linalg.nullspace(X.field, C.basis)
     assert N.shape[0] == 1
@@ -62,24 +66,23 @@ def test_beta_uniqueness(five_points_frame):
 
 
 def test_min_distance_two_at_penultimate_degree(five_points_frame, nine_points):
-    for X, gb, hd, _ in (five_points_frame, nine_points):
+    for A in (five_points_frame, nine_points):
+        X, gb, hd = A.X, A.gb, A.hd
         assert min_distance(code_of_degree(X, gb, hd.r0 - 1)) == 2
 
 
 def test_all_v_r0_when_degree_zero_verified(five_points_frame, four_points):
-    for X, gb, hd, isx in (five_points_frame, four_points):
-        cert = global_duality(X, gb, hd, isx)
+    for A in (five_points_frame, four_points):
+        cert = global_duality(A)
         if cert.holds and 0 in cert.verified_degrees:
-            assert all(v == hd.r0 for v in isx.degrees)
+            assert all(v == A.hd.r0 for v in A.isx.degrees)
 
 
 def test_dual_equation_both_directions(five_points_frame):
     """When C_X(0)^perp = beta . C_X(1), the same beta also gives
     C_X(1)^perp = beta . C_X(0)."""
-    from rmcode.codes import monomially_equivalent
-
-    X, gb, hd, isx = five_points_frame
-    cert = global_duality(X, gb, hd, isx)
+    X, gb = five_points_frame.X, five_points_frame.gb
+    cert = global_duality(five_points_frame)
     C0, C1 = code_of_degree(X, gb, 0), code_of_degree(X, gb, 1)
     assert monomially_equivalent(C1, dual_code(C0), cert.beta)
     assert monomially_equivalent(C0, dual_code(C1), cert.beta)
@@ -88,83 +91,67 @@ def test_dual_equation_both_directions(five_points_frame):
 def test_gorenstein_beta_from_indicators(five_points_frame, nine_points, F3):
     """(lc(f_i) / f_i(P_i))_i spans the parity-check line when last
     coordinates are all 1 and the ideal is Gorenstein."""
-    for X, gb, hd, isx in (five_points_frame, nine_points):
-        f = X.field
-        cert = global_duality(X, gb, hd, isx)
-        lc = [fi.leading_coeff(gb.order) for fi in isx.fs]
+    for A in (five_points_frame, nine_points):
+        f, isx = A.X.field, A.isx
+        cert = global_duality(A)
+        lc = [fi.leading_coeff(A.gb.order) for fi in isx.fs]
         beta_ind = [f.div(c, v) for c, v in zip(lc, isx.values)]
         assert _proportional(f, beta_ind, cert.beta)
 
 
 def test_local_duality_nine_points(nine_points, F3):
-    X, gb, hd, isx = nine_points
     g1 = [parse_monomial(3, t) for t in ("t1", "t2", "t3")]
     g2 = [
         parse_monomial(3, t)
         for t in ("t1^2*t3", "t1*t2*t3", "t1*t3^2", "t2^2*t3", "t2*t3^2", "t3^3")
     ]
-    rep = local_duality_verify(
-        X, gb, isx, g1, g2, parse_monomial(3, "t1^2*t2^2"), hd=hd
-    )
+    rep = local_duality_verify(nine_points, g1, g2, parse_monomial(3, "t1^2*t2^2"))
     assert rep["gamma"] == [1] * 9
 
 
 def test_local_duality_projective_mode(four_points, F3):
-    X, gb, hd, isx = four_points
     rep = local_duality_verify(
-        X,
-        gb,
-        isx,
+        four_points,
         [parse_monomial(4, "1")],
         [parse_monomial(4, t) for t in ("t1", "t3", "t4")],
         parse_monomial(4, "t1*t3"),
         projective_mode=True,
-        hd=hd,
     )
     want = [F3.parse_element(t) for t in ("-1", "-1", "1", "1")]
     assert rep["gamma"] == want
     # without projective mode, d + k < r0 violates condition (1)
     with pytest.raises(ConditionFailed) as err:
         local_duality_verify(
-            X,
-            gb,
-            isx,
+            four_points,
             [parse_monomial(4, "1")],
             [parse_monomial(4, t) for t in ("t1", "t3", "t4")],
             parse_monomial(4, "t1*t3"),
             projective_mode=False,
-            hd=hd,
         )
     assert err.value.which == 1
 
 
 def test_local_duality_empty_subsets(four_points):
-    X, gb, hd, isx = four_points
     with pytest.raises(ConditionFailed) as err:
-        local_duality_verify(X, gb, isx, [], [], parse_monomial(4, "t1*t3"), hd=hd)
+        local_duality_verify(four_points, [], [], parse_monomial(4, "t1*t3"))
     assert err.value.which == 2
 
 
 def test_local_duality_not_essential(four_points):
-    X, gb, hd, isx = four_points
     with pytest.raises(NotEssential):
         local_duality_verify(
-            X, gb, isx, [parse_monomial(4, "1")], [parse_monomial(4, "t1")],
-            parse_monomial(4, "t4^2"), hd=hd,
+            four_points, [parse_monomial(4, "1")], [parse_monomial(4, "t1")],
+            parse_monomial(4, "t4^2"),
         )
 
 
 def test_self_dual_line_f9(F9):
-    X = points_full_projective(2, F9)
-    gb = vanishing_ideal(X)
-    hd = hilbert_data(gb, X.m, nvars=2)
-    rep = self_dual_report(X, gb, hd)
+    rep = self_dual_report(Analysis(points_full_projective(2, F9)))
     assert rep == {"self_orthogonal_degrees": [4], "self_dual_degrees": [4]}
 
 
 def test_self_orthogonal_plane_f3(plane_f3):
-    X, gb, hd, isx = plane_f3
-    rep = self_dual_report(X, gb, hd)
+    rep = self_dual_report(plane_f3)
     assert rep["self_orthogonal_degrees"] == [1, 2]
     assert rep["self_dual_degrees"] == []
 
@@ -173,15 +160,12 @@ def test_self_dual_f4_example(F4):
     a = F4.generator
     a2 = F4.mul(a, a)
     X = PointSet(F4, [[1, 0, 1], [a, 0, 1], [a2, 0, 1], [0, 1, 1], [0, a2, 1], [0, a, 1]])
-    gb = vanishing_ideal(X)
-    hd = hilbert_data(gb, X.m, nvars=3)
-    assert self_dual(X, gb, 1, hd)
-    C = code_of_degree(X, gb, 1)
+    A = Analysis(X)
+    assert self_dual(A, 1)
+    C = code_of_degree(X, A.gb, 1)
     assert dual_code(C) == C
     # C_X(1) is spanned by the columns of the point matrix
     cols = X.coords.T
-    from rmcode.codes import LinearCode
-
     assert LinearCode.from_rows(F4, cols) == C
     # self-dual with t_s = 1 everywhere forces m = 0 mod p and
     # pairwise-orthogonal point-matrix columns
@@ -195,11 +179,8 @@ def test_self_dual_f4_example(F4):
 
 
 def test_gorenstein_selfdual_classification(F5, F4):
-    X = PointSet(F5, [[1, 1], [2, 1], [3, 1], [4, 1]])
-    gb = vanishing_ideal(X)
-    hd = hilbert_data(gb, 4, nvars=2)
-    cls = classify(X, gb, hd)
-    rep = gorenstein_selfdual_classify(X, gb, hd, cls)
+    A = Analysis(PointSet(F5, [[1, 1], [2, 1], [3, 1], [4, 1]]))
+    rep = gorenstein_selfdual_classify(A, classify(A))
     by_d = {e["d"]: e for e in rep}
     assert by_d[1]["monomially_self_dual"] and not by_d[1]["self_dual"]
     assert by_d[1]["point_matrix_self_dual"] is False
@@ -207,33 +188,30 @@ def test_gorenstein_selfdual_classification(F5, F4):
 
     a = F4.generator
     a2 = F4.mul(a, a)
-    X6 = PointSet(F4, [[1, 0, 1], [a, 0, 1], [a2, 0, 1], [0, 1, 1], [0, a2, 1], [0, a, 1]])
-    gb6 = vanishing_ideal(X6)
-    hd6 = hilbert_data(gb6, 6, nvars=3)
-    cls6 = classify(X6, gb6, hd6)
-    rep6 = gorenstein_selfdual_classify(X6, gb6, hd6, cls6)
+    A6 = Analysis(
+        PointSet(F4, [[1, 0, 1], [a, 0, 1], [a2, 0, 1], [0, 1, 1], [0, a2, 1], [0, a, 1]])
+    )
+    rep6 = gorenstein_selfdual_classify(A6, classify(A6))
     by_d6 = {e["d"]: e for e in rep6}
     assert by_d6[1]["self_dual"] and by_d6[1]["point_matrix_self_dual"]
 
 
 def test_gorenstein_selfdual_even_regularity(five_points_frame):
-    X, gb, hd, isx = five_points_frame  # r0 = 2 is even
-    cls = classify(X, gb, hd)
-    rep = gorenstein_selfdual_classify(X, gb, hd, cls)
+    assert five_points_frame.hd.r0 == 2  # even
+    rep = gorenstein_selfdual_classify(five_points_frame, classify(five_points_frame))
     assert not any(e["monomially_self_dual"] for e in rep)
 
 
 def test_gorenstein_selfdual_requires_gorenstein(plane_f3):
-    X, gb, hd, isx = plane_f3
-    cls = classify(X, gb, hd)
+    cls = classify(plane_f3)
     with pytest.raises(NotGorenstein):
-        gorenstein_selfdual_classify(X, gb, hd, cls)
+        gorenstein_selfdual_classify(plane_f3, cls)
 
 
 def test_crosscheck_agreement(five_points_frame, plane_f3):
-    for X, gb, hd, isx in (five_points_frame, plane_f3):
-        cert = global_duality(X, gb, hd, isx)
-        cls = classify(X, gb, hd)
+    for A in (five_points_frame, plane_f3):
+        cert = global_duality(A)
+        cls = classify(A)
         assert gorenstein_crosscheck(cert, cls) == cert.holds
 
 
@@ -241,21 +219,20 @@ def test_affine_duality_grid(F3, nine_points):
     rows = [list(t) for t in itertools.product(range(3), repeat=2)]
     cert, info, _ = affine_duality(F3, rows)
     assert cert.holds
-    X, gb, hd, isx = nine_points
-    assert info["affine_hilbert_function"] == list(hd.H)
+    assert info["affine_hilbert_function"] == list(nine_points.hd.H)
 
 
 def test_affine_duality_line(F5):
     rows = [[x] for x in range(5)]
-    cert, info, (Y, gb, hd, isx) = affine_duality(F5, rows)
+    cert, info, A = affine_duality(F5, rows)
     assert cert.holds
     # principal vanishing ideal (a complete intersection): t1^q - t1*t2^(q-1)
     from rmcode.polyring import parse_poly
 
-    assert gb.gens == [parse_poly(F5, 2, "t1^5-t1*t2^4")]
+    assert A.gb.gens == (parse_poly(F5, 2, "t1^5-t1*t2^4"),)
 
 
 def test_affine_duality_two_points(F3):
-    cert, info, (Y, gb, hd, isx) = affine_duality(F3, [[0], [1]])
+    cert, info, _ = affine_duality(F3, [[0], [1]])
     assert info["r0"] == 1 and cert.holds
     assert len(cert.beta) == 2

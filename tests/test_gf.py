@@ -12,7 +12,7 @@ from rmcode.errors import (
     ReducibleModulus,
     Unsupported,
 )
-from rmcode.gf import BUILTIN_MODULI, Field, FqElement, field_create, primitive_element
+from rmcode.gf import BUILTIN_MODULI, Field, FqElement, primitive_element
 
 def _is_prime(n):
     return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
@@ -35,29 +35,29 @@ def _field_for(q):
 
 
 def test_field_create_prime():
-    F = field_create(3, 1)
+    F = Field(3, 1)
     assert F.q == 3 and F.generator == 2
 
 
 def test_field_create_with_modulus():
-    F = field_create(3, 2, [1, 0, 1])  # x^2 + 1
+    F = Field(3, 2, [1, 0, 1])  # x^2 + 1
     assert F.q == 9
     assert F.format_element(F.generator) == "1+a"
 
 
 def test_field_create_nonprime():
     with pytest.raises(NonPrimeP):
-        field_create(4, 1)
+        Field(4, 1)
 
 
 def test_field_create_reducible_modulus():
     with pytest.raises(ReducibleModulus):
-        field_create(3, 2, [1, 2, 1])  # (x+1)^2
+        Field(3, 2, [1, 2, 1])  # (x+1)^2
 
 
 def test_field_create_no_modulus_outside_table():
     with pytest.raises(NoModulusAvailable):
-        field_create(11, 2)
+        Field(11, 2)
 
 
 def test_inverse_examples():

@@ -14,7 +14,7 @@ from rmcode.groebner import (
     monomial_colon,
     monomial_dim_degree,
     normal_form,
-    standard_monomials,
+    standard_monomials_upto,
 )
 from rmcode.polyring import GREVLEX, Poly, parse_monomial, parse_poly
 
@@ -34,7 +34,7 @@ def test_buchberger_coprime_leads(F3):
 
 def test_buchberger_zero_input(F3):
     gb = buchberger([Poly.zero(F3, 3)], GREVLEX)
-    assert gb.gens == [] and gb.certified
+    assert gb.gens == () and gb.certified
 
 
 def test_buchberger_input_order_independence(F3):
@@ -61,8 +61,8 @@ def test_certify_true_for_buchberger_output(F4):
 
 
 def test_certify_with_last_variable_appended(five_points_socle, F3):
-    X, gb, hd, isx = five_points_socle
-    extended = GroebnerBasis(gb.order, gb.gens + [parse_poly(F3, 4, "t4")])
+    gb = five_points_socle.gb
+    extended = GroebnerBasis(gb.order, gb.gens + (parse_poly(F3, 4, "t4"),))
     assert gb_certify(extended)
 
 
@@ -75,8 +75,8 @@ def test_certify_false(F3):
 
 
 def test_standard_monomials_frame_example(five_points_frame):
-    X, gb, hd, isx = five_points_frame
-    got = standard_monomials(gb, 2)
+    gb = five_points_frame.gb
+    got = standard_monomials_upto(gb, 4, 2)[2]
     want = {
         parse_monomial(4, t) for t in ("t1*t4", "t2*t4", "t3^2", "t3*t4", "t4^2")
     }
@@ -87,13 +87,12 @@ def test_standard_monomials_frame_example(five_points_frame):
 
 
 def test_standard_monomials_degree_zero(nine_points):
-    X, gb, hd, isx = nine_points
-    assert standard_monomials(gb, 0) == [(0, 0, 0)]
+    assert standard_monomials_upto(nine_points.gb, 3, 0) == [((0, 0, 0),)]
 
 
 def test_standard_monomials_degree_one(nine_points):
-    X, gb, hd, isx = nine_points
-    assert set(standard_monomials(gb, 1)) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    layer = standard_monomials_upto(nine_points.gb, 3, 1)[1]
+    assert set(layer) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
 
 def test_monomial_dim_degree_cases():
@@ -122,7 +121,7 @@ def test_monomial_colon_cases():
 
 def test_membership_oracle_equivalence(nine_points, F3):
     """normal_form(f, G) = 0 iff f vanishes on all of X."""
-    X, gb, hd, isx = nine_points
+    X, gb = nine_points.X, nine_points.gb
     rng = random.Random(11)
     from rmcode.polyring import monomials_of_degree
 
@@ -137,12 +136,10 @@ def test_membership_oracle_equivalence(nine_points, F3):
 
 
 def test_minimal_generator_counts(five_points_frame, nine_points, four_points):
-    X, gb, hd, _ = five_points_frame
+    X, gb, hd = five_points_frame.X, five_points_frame.gb, five_points_frame.hd
     assert minimal_generator_count(gb, hd.r0, points=X.coords) == 5  # not CI
-    X9, gb9, hd9, _ = nine_points
-    assert minimal_generator_count(gb9, hd9.r0) == 2  # CI: s - 1 = 2
-    X4, gb4, hd4, _ = four_points
-    assert minimal_generator_count(gb4, hd4.r0) == 3  # CI in s = 4
+    assert minimal_generator_count(nine_points.gb, nine_points.hd.r0) == 2  # CI: s - 1 = 2
+    assert minimal_generator_count(four_points.gb, four_points.hd.r0) == 3  # CI in s = 4
 
 
 def test_monomial_ideal_guard():

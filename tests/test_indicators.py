@@ -1,14 +1,15 @@
 import numpy as np
 
 from rmcode import linalg
-from rmcode.indicators import colon_witness, standard_indicators, v_numbers
+from rmcode.analysis import Analysis
+from rmcode.indicators import colon_witness
 from rmcode.groebner import standard_monomials_upto
 from rmcode.polyring import parse_monomial, parse_poly
-from rmcode.variety import PointSet, vanishing_ideal
+from rmcode.variety import PointSet
 
 
 def test_nine_point_indicators(nine_points, F3):
-    X, gb, hd, isx = nine_points
+    isx = nine_points.isx
     assert isx.degrees == [4] * 9
     assert isx.values == [1] * 9
     assert isx.essential == [parse_monomial(3, "t1^2*t2^2")]
@@ -16,7 +17,7 @@ def test_nine_point_indicators(nine_points, F3):
 
 
 def test_frame_indicator_f5(five_points_frame, F3):
-    X, gb, hd, isx = five_points_frame
+    isx = five_points_frame.isx
     assert isx.fs[4] == parse_poly(F3, 4, "t3^2-t3*t4")
     assert isx.degrees[4] == 2
 
@@ -24,63 +25,55 @@ def test_frame_indicator_f5(five_points_frame, F3):
 def test_glex_essential_empty(five_points_socle, F3):
     from rmcode.polyring import TermOrder
 
-    X = five_points_socle[0]
-    order = TermOrder("glex", (4, 3, 2, 1))
-    gb = vanishing_ideal(X, order)
-    isx = standard_indicators(X, gb)
+    isx = Analysis(five_points_socle.X, TermOrder("glex", (4, 3, 2, 1))).isx
     assert isx.essential == []
     assert isx.degrees == [2] * 5
 
 
 def test_v_numbers_ten_points(ten_points):
-    X, gb, hd, isx = ten_points
-    v, v_local, v_r = v_numbers(isx)
-    assert v == 3
-    assert v_r == [3] + [4] * 9
+    isx = ten_points.isx
+    assert isx.v_number == 3
+    assert isx.v_sorted == (3,) + (4,) * 9
     assert isx.degrees[6] == 3  # the separator of the seventh point is a cubic
 
 
 def test_v_numbers_seven_points(seven_points):
-    X, gb, hd, isx = seven_points
+    isx = seven_points.isx
     assert list(isx.v_sorted) == [2, 2, 2, 3, 3, 3, 3]
 
 
 def test_v_equals_r0_when_all_agree(nine_points):
-    X, gb, hd, isx = nine_points
-    assert isx.v_number == hd.r0
+    assert nine_points.isx.v_number == nine_points.hd.r0
 
 
 def test_colon_witness_nine_points(nine_points, F3):
-    X, gb, hd, isx = nine_points
-    w = colon_witness(X, gb, 0, isx)
+    isx = nine_points.isx
+    w = colon_witness(nine_points, 0)
     assert w == isx.fs[0]
     # infeasible at 3, feasible at 4: encoded in the degree
     assert isx.degrees[0] == 4
 
 
 def test_colon_witness_two_points(F3):
-    X = PointSet(F3, [[1, 0], [0, 1]])
-    gb = vanishing_ideal(X)
-    isx = standard_indicators(X, gb)
-    w = colon_witness(X, gb, 0, isx)
-    assert w == parse_poly(F3, 2, "t1") and isx.degrees[0] == 1
+    A = Analysis(PointSet(F3, [[1, 0], [0, 1]]))
+    w = colon_witness(A, 0)
+    assert w == parse_poly(F3, 2, "t1") and A.isx.degrees[0] == 1
 
 
 def test_colon_witness_ten_points_cubic(ten_points):
-    X, gb, hd, isx = ten_points
-    w = colon_witness(X, gb, 6, isx)
+    w = colon_witness(ten_points, 6)
     assert w.homogeneous_degree() == 3
 
 
 def test_max_v_attains_r0(four_points, five_points_socle, ten_points, seven_points):
-    for X, gb, hd, isx in (four_points, five_points_socle, ten_points, seven_points):
-        assert max(isx.degrees) == hd.r0
-        assert all(v <= hd.r0 for v in isx.degrees)
+    for A in (four_points, five_points_socle, ten_points, seven_points):
+        assert max(A.isx.degrees) == A.hd.r0
+        assert all(v <= A.hd.r0 for v in A.isx.degrees)
 
 
 def test_padded_indicator_vectors_span(ten_points):
     """Indicators padded to degree r0 by coordinate powers stay independent."""
-    X, gb, hd, isx = ten_points
+    X, hd, isx = ten_points.X, ten_points.hd, ten_points.isx
     f = X.field
     rows = []
     for i, (fi, vi) in enumerate(zip(isx.fs, isx.degrees)):
@@ -95,7 +88,7 @@ def test_padded_indicator_vectors_span(ten_points):
 def test_uniqueness_under_reversed_pivoting(nine_points, F3):
     """Re-solving each separator system on the reversed monomial basis gives
     the same lc-normalized polynomial."""
-    X, gb, hd, isx = nine_points
+    X, gb, isx = nine_points.X, nine_points.gb, nine_points.isx
     f = X.field
     for i in (0, 4, 8):
         d = isx.degrees[i]

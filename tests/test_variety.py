@@ -70,18 +70,18 @@ def test_canonicalization(F3):
 
 
 def test_vanishing_ideal_golden_trio(four_points, nine_points, F3):
-    X4, gb4, _, _ = four_points
+    X4, gb4 = four_points.X, four_points.gb
     assert gb4.to_strings() == ["t2-t3", "t3^2-t4^2", "t1^2-t1*t3"]
-    X9, gb9, _, _ = nine_points
+    X9, gb9 = nine_points.X, nine_points.gb
     assert gb9.to_strings() == ["t2^3-t2*t3^2", "t1^3-t1*t3^2"]
     X2 = PointSet(F3, [[1, 0], [0, 1]])
     assert vanishing_ideal(X2).to_strings() == ["t1*t2"]
 
 
 def test_hilbert_data_examples(nine_points, five_points_frame, F3):
-    _, _, hd9, _ = nine_points
+    hd9 = nine_points.hd
     assert hd9.H == (1, 3, 6, 8, 9) and hd9.r0 == 4
-    _, _, hd5, _ = five_points_frame
+    hd5 = five_points_frame.hd
     assert hd5.h_vector == (1, 3, 1) and hd5.symmetric and hd5.r0 == 2
     X2 = PointSet(F3, [[1, 0], [0, 1]])
     gb2 = vanishing_ideal(X2)
@@ -91,10 +91,10 @@ def test_hilbert_data_examples(nine_points, five_points_frame, F3):
 
 
 def test_symmetry_check(ten_points, five_points_frame):
-    _, _, hdH, _ = ten_points
+    hdH = ten_points.hd
     assert hdH.h_vector == (1, 2, 3, 3, 1)
     assert symmetry_equiv_check(hdH) is False
-    _, _, hd5, _ = five_points_frame
+    hd5 = five_points_frame.hd
     assert symmetry_equiv_check(hd5) is True
 
 
@@ -162,7 +162,7 @@ def test_point_prime_generators_reduce_consistently(nine_points, F3):
     after reduction modulo I(X); in particular they vanish at their point."""
     from rmcode.groebner import normal_form
 
-    X, gb, hd, _ = nine_points
+    X, gb, hd = nine_points.X, nine_points.gb, nine_points.hd
     for i in range(X.m):
         alpha = [int(x) for x in X.coords[i]]
         for a in range(X.s):
