@@ -4,7 +4,7 @@ finite projective point sets."""
 __version__ = "0.1.0"
 
 from .errors import RMCodeError
-from .gf import Field, FqElement, primitive_element
+from .gf import Field
 from .polyring import GREVLEX, Poly, TermOrder, parse_poly
 from .groebner import (
     GroebnerBasis,

@@ -167,7 +167,7 @@ def cmd_generate(args):
     if args.kind != "parameterized" and not args.vars:
         raise InvalidParams(f"{args.kind} needs --vars")
     p, k = _prime_power(args.q)
-    f = Field(args.p or p, k)
+    f = Field(p, k)
     if args.kind == "projective":
         ps = points_full_projective(args.vars, f)
         header = (f"all points of P^{args.vars - 1} over F_{f.q}",)
@@ -281,7 +281,6 @@ def build_parser():
     g = sub.add_parser("generate", help="emit a points file")
     g.add_argument("kind", choices=["projective", "torus", "parameterized", "affine-grid"])
     g.add_argument("--q", type=int, required=True, help="field size")
-    g.add_argument("--p", type=int, help="characteristic (derived from q if omitted)")
     g.add_argument("--vars", type=int, help="ambient variable count s")
     g.add_argument("--exponents", help="semicolon-separated exponent vectors, e.g. 1,0;0,1")
     g.set_defaults(func=cmd_generate)

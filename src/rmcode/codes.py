@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .errors import BudgetExceeded, InternalInconsistency, InvalidParams, Unsupported
+from .errors import BudgetExceeded, InternalInconsistency, InvalidParams
 from .groebner import monomial_colon, monomial_dim_degree, standard_monomials_upto
 from .polyring import monomial_divides
 
@@ -577,13 +577,10 @@ def weight_matrix(A, budget=None, fp=None):
 # -- monomial equivalence ----------------------------------------------------------
 
 
-def monomially_equivalent(C1, C2, beta=None):
-    """Verify C2 = beta . C1 for a supplied witness; blind search is out of
-    scope and raises Unsupported."""
+def monomially_equivalent(C1, C2, beta):
+    """Verify C2 = beta . C1 for the witness beta."""
     if C1.length != C2.length:
         raise ValueError("codes of different lengths")
-    if beta is None:
-        raise Unsupported("blind monomial-equivalence search is not provided")
     ok = C1.scaled(beta) == C2
     if ok:
         # symmetric form of the witness (dual equation)

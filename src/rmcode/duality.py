@@ -204,7 +204,9 @@ def self_orthogonal(A, d):
 
 
 def self_dual(A, d):
-    result = self_orthogonal(A, d) and A.X.m == 2 * A.hd.value(d)
+    """C_X(d) equal to its dual: self-orthogonal of dimension m/2, the
+    dimension tested first."""
+    result = A.X.m == 2 * A.hd.value(d) and self_orthogonal(A, d)
     if result != (A.code(d) == A.dual(d)):
         raise InternalInconsistency(
             "self-duality criterion disagrees with direct RREF equality"

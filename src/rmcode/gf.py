@@ -24,7 +24,7 @@ from .errors import (
     Unsupported,
 )
 
-# Largest extension-field order for which multiplication tables are built.
+# Largest extension-field order for which arithmetic tables are built.
 TABLE_LIMIT = 1024
 
 # Every characteristic p is below this bound, so the product of two element
@@ -225,45 +225,30 @@ class Field:
     # -- construction of arithmetic ----------------------------------------
 
     def _init_tables(self):
+        """The add, mul, neg and inv tables of an extension field, from the
+        q x k digit matrix; a prime field has none and stays modular."""
         p, k, q = self.p, self.k, self.q
         if k == 1:
-            self._add_t = self._mul_t = None
-            self._inv_t = None
-            if p <= TABLE_LIMIT:
-                inv = np.zeros(q, dtype=np.int64)
-                for x in range(1, p):
-                    inv[x] = pow(x, p - 2, p)
-                self._inv_t = inv
             return
-        dt = np.int16 if q < 2**15 else np.int32
-        codes = np.arange(q)
-        digits = np.zeros((q, k), dtype=np.int64)
-        c = codes.copy()
-        for i in range(k):
-            digits[:, i] = c % p
-            c //= p
-        # addition: digitwise mod p
-        add_digits = (digits[:, None, :] + digits[None, :, :]) % p
         weights = p ** np.arange(k)
-        self._add_t = (add_digits * weights).sum(axis=2).astype(dt)
-        # multiplication via coefficient-tuple products reduced by the modulus
-        mul = np.zeros((q, q), dtype=dt)
-        tuples = [tuple(digits[i]) for i in range(q)]
-        for i in range(q):
-            fi = list(tuples[i])
-            for j in range(i, q):
-                prod = _poly_mulmod(fi, list(tuples[j]), list(self.modulus), p)
-                code = sum(int(c) * p**e for e, c in enumerate(prod))
-                mul[i, j] = code
-                mul[j, i] = code
+        digits = np.arange(q)[:, None] // weights % p
+        self._add_t = sum(
+            (digits[:, None, i] + digits[None, :, i]) % p * w
+            for i, w in enumerate(weights)
+        )
+        # code maps y -> a*y (shift the digits up, reduce the top digit by
+        # the monic modulus) and y -> c*y for each c in F_p
+        top = digits[:, -1:]
+        shifted = np.concatenate([np.zeros_like(top), digits[:, :-1]], axis=1)
+        times_a = (shifted - top * np.array(self.modulus[:k])) % p @ weights
+        scaled = np.arange(p)[:, None, None] * digits % p @ weights
+        # Horner in a over the digits of x: x*y = (..(x_{k-1} y) a + ..) a + x_0 y
+        mul = scaled[digits[:, -1]]
+        for i in range(k - 2, -1, -1):
+            mul = self._add_t[times_a[mul], scaled[digits[:, i]]]
         self._mul_t = mul
-        inv = np.zeros(q, dtype=np.int64)
-        for x in range(1, q):
-            for y in range(1, q):
-                if mul[x, y] == 1:
-                    inv[x] = y
-                    break
-        self._inv_t = inv
+        self._neg_t = np.argmax(self._add_t == 0, axis=1)
+        self._inv_t = np.argmax(mul == 1, axis=1)
 
     def _order_of(self, code):
         # the order divides q-1; strip each prime l while code^(n/l) = 1, so
@@ -292,13 +277,7 @@ class Field:
     def neg(self, a):
         if self.k == 1:
             return (-a) % self.p
-        p, k = self.p, self.k
-        out, w = 0, 1
-        for _ in range(k):
-            out += ((-(a % p)) % p) * w
-            a //= p
-            w *= p
-        return out
+        return int(self._neg_t[a])
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -311,8 +290,8 @@ class Field:
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        if self.k == 1 and self._inv_t is None:
-            return pow(a, self.p - 2, self.p)
+        if self.k == 1:
+            return pow(int(a), self.p - 2, self.p)
         return int(self._inv_t[a])
 
     def div(self, a, b):
@@ -337,7 +316,7 @@ class Field:
     def add_arr(self, a, b):
         if self.k == 1:
             return (a + b) % self.p
-        return self._add_t[a, b].astype(np.int64)
+        return self._add_t[a, b]
 
     def sub_arr(self, a, b):
         if self.k == 1:
@@ -347,17 +326,12 @@ class Field:
     def neg_arr(self, a):
         if self.k == 1:
             return (-a) % self.p
-        return self._neg_table()[a]
-
-    def _neg_table(self):
-        if not hasattr(self, "_neg_t"):
-            self._neg_t = np.array([self.neg(x) for x in range(self.q)], dtype=np.int64)
-        return self._neg_t
+        return self._neg_t[a]
 
     def mul_arr(self, a, b):
         if self.k == 1:
             return (a * b) % self.p
-        return self._mul_t[a, b].astype(np.int64)
+        return self._mul_t[a, b]
 
     def pow_arr(self, a, e):
         out = np.ones_like(np.asarray(a))
@@ -377,15 +351,6 @@ class Field:
             out.append(code % self.p)
             code //= self.p
         return tuple(out)
-
-    def from_coeffs(self, coeffs):
-        if len(coeffs) > self.k:
-            raise ValueError("too many coefficients")
-        return sum((int(c) % self.p) * self.p**i for i, c in enumerate(coeffs))
-
-    def from_int(self, n):
-        """The constant n*1 (an F_p multiple of the identity)."""
-        return n % self.p
 
     # literal grammar: integer for prime fields; whitespace-free sums of
     # `c`, `a`, `c*a^e` terms for extensions (e reduced by the modulus).
@@ -491,106 +456,3 @@ class Field:
                 x = "x" if i == 1 else f"x^{i}"
                 parts.append(x if c == 1 else f"{c}*{x}")
         return f"F_{self.q}({'+'.join(parts)})"
-
-
-class FqElement:
-    """A field element: a thin, immutable wrapper over (field, code)."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field, code):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "code", int(code))
-
-    def __setattr__(self, *_):
-        raise AttributeError("FqElement is immutable")
-
-    @property
-    def coeffs(self):
-        return self.field.coeffs_of(self.code)
-
-    def _coerce(self, other):
-        if isinstance(other, FqElement):
-            if other.field != self.field:
-                raise FieldMismatch("operands live in different fields")
-            return other.code
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FqElement(self.field, self.field.add(self.code, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FqElement(self.field, self.field.sub(self.code, c))
-
-    def __rsub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FqElement(self.field, self.field.sub(c, self.code))
-
-    def __mul__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FqElement(self.field, self.field.mul(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        if c == 0:
-            raise DivisionByZero("division by zero")
-        return FqElement(self.field, self.field.div(self.code, c))
-
-    def __rtruediv__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        if self.code == 0:
-            raise DivisionByZero("division by zero")
-        return FqElement(self.field, self.field.div(c, self.code))
-
-    def __pow__(self, e):
-        return FqElement(self.field, self.field.pow_(self.code, e))
-
-    def __neg__(self):
-        return FqElement(self.field, self.field.neg(self.code))
-
-    def inverse(self):
-        return FqElement(self.field, self.field.inv(self.code))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __eq__(self, other):
-        if isinstance(other, FqElement):
-            return self.field == other.field and self.code == other.code
-        if isinstance(other, int):
-            return self.code == self.field.from_int(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.code))
-
-    def multiplicative_order(self):
-        return self.field._order_of(self.code)
-
-    def __repr__(self):
-        return self.field.format_element(self.code)
-
-
-def primitive_element(field):
-    """The ordering-smallest element of multiplicative order q-1."""
-    return FqElement(field, field.generator)

@@ -29,6 +29,7 @@ from .groebner import (
     gb_certify,
     standard_monomials_upto,
 )
+from .linalg import rref
 from .polyring import GREVLEX, Poly, TermOrder
 
 
@@ -285,11 +286,11 @@ def format_points(field, s, rows, order=None, header=()):
 def vanishing_ideal(X, order=GREVLEX):
     """Reduced certified Groebner basis of the homogeneous vanishing ideal.
 
-    Degree-by-degree interpolation: at each degree the monomials outside the
-    current leading-term ideal are scanned in ascending order; a candidate
-    whose evaluation vector depends linearly on those of the standard
-    monomials accepted so far yields a basis element (candidate minus the
-    dependence combination), otherwise the candidate is standard.
+    Degree-by-degree interpolation: the evaluation vectors of the monomials
+    outside the current leading-term ideal, in ascending order, are the
+    columns of one matrix.  Its RREF pivot columns are the standard
+    monomials; every other column u_j depends on the pivots before it and
+    yields the basis element u_j - sum_r R[r, j] * (monomial of pivot r).
     """
     f = X.field
     s = X.s
@@ -300,47 +301,20 @@ def vanishing_ideal(X, order=GREVLEX):
     r0 = None
     d = 0
     accepted = _next_layer(None, s, leads)
-    pow_cols = X.power_columns(8)
     while True:
         d += 1
-        if len(pow_cols[0]) <= d:
-            pow_cols = X.power_columns(2 * d)
         candidates = sorted(_next_layer(accepted, s, leads), key=order.key)
-        accepted = []          # standard monomials of degree d
-        basis_rows = []        # their evaluation vectors, row-reduced
-        combos = []            # expression of each reduced row over `accepted`
-        for u in candidates:
-            vec = np.ones(m, dtype=np.int64)
-            for j, e in enumerate(u):
-                if e:
-                    vec = f.mul_arr(vec, pow_cols[j][e])
-            coeffs = np.zeros(len(accepted), dtype=np.int64)
-            red = vec.copy()
-            for i, row in enumerate(basis_rows):
-                piv = _pivot(row)
-                c = int(red[piv])
+        R, pivots = rref(f, X.eval_monomials(candidates).T)
+        accepted = [candidates[c] for c in pivots]  # standard monomials of degree d
+        for j, u in enumerate(candidates):
+            if j in pivots:
+                continue
+            terms = {u: 1}
+            for v, c in zip(accepted, R[:, j]):
                 if c:
-                    factor = f.div(c, int(row[piv]))
-                    red = f.sub_arr(red, f.mul_arr(factor, row))
-                    coeffs = f.sub_arr(coeffs, f.mul_arr(factor, combos[i]))
-            if np.any(red):
-                accepted.append(u)
-                basis_rows.append(red)
-                combos.append(
-                    np.concatenate([coeffs, np.array([1], dtype=np.int64)])
-                )
-                for i in range(len(combos) - 1):
-                    combos[i] = np.concatenate(
-                        [combos[i], np.zeros(1, dtype=np.int64)]
-                    )
-            else:
-                terms = {u: 1}
-                for v, c in zip(accepted, coeffs):
-                    if c:
-                        terms[v] = int(c)
-                g = Poly(f, s, terms)
-                gens.append(g)
-                leads.append(u)
+                    terms[v] = f.neg(int(c))
+            gens.append(Poly(f, s, terms))
+            leads.append(u)
         if len(accepted) == m and r0 is None:
             r0 = d
         if r0 is not None and d >= r0 + 1:
@@ -360,10 +334,6 @@ def vanishing_ideal(X, order=GREVLEX):
         if np.any(X.eval_poly(g)):
             raise InternalInconsistency("basis element does not vanish on X")
     return gb
-
-
-def _pivot(row):
-    return int(np.nonzero(row)[0][0])
 
 
 # -- Hilbert data -----------------------------------------------------------------

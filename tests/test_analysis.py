@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from rmcode import codes
+from rmcode import codes, duality
 from rmcode.analysis import Analysis, AnalysisRequest, analyze_text
 from rmcode.gf import Field
 from rmcode.golden import CORPUS, load_entry
@@ -51,6 +51,17 @@ def test_analyze_builds_each_code_and_dual_once(name, monkeypatch):
     assert set(built) >= set(range(1, r0 + 1))
     assert max(built.values()) == 1
     assert duals and max(duals.values()) == 1
+
+
+def test_selfdual_run_tests_self_orthogonality_once_per_degree(monkeypatch):
+    calls = _count_calls(monkeypatch, duality.self_orthogonal, lambda A, d: d)
+    req = AnalysisRequest(duality=True, gorenstein=True, selfdual=True)
+    report, _ = analyze_text(load_entry("projective_line_f9")[0], req)
+    # r0 = 9 and m = 10 = 2 H(4): degree 4 is self-dual, and the self-dual
+    # report and the Gorenstein classification each test it once more
+    assert report["hilbert"]["r0"] == 9
+    assert report["self_duality"]["self_dual_degrees"] == [4]
+    assert calls == collections.Counter({d: 3 if d == 4 else 1 for d in range(10)})
 
 
 def test_cached_codes_are_shared_and_read_only(F3):

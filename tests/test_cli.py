@@ -130,6 +130,14 @@ def test_generate_parameterized_torus(capsys):
     assert len(lines) == 4  # the torus again
 
 
+def test_generate_rejects_a_characteristic_option(capsys):
+    # the characteristic comes from --q alone
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "torus", "--q", "9", "--p", "5", "--vars", "2"])
+    assert exc.value.code == 2
+    assert "--p" in capsys.readouterr().err
+
+
 def test_generate_roundtrips_through_analyze(tmp_path, capsys):
     assert main(["generate", "torus", "--q", "5", "--vars", "2"]) == 0
     text = capsys.readouterr().out

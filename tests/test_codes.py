@@ -22,7 +22,7 @@ from rmcode.codes import (
     weight_distribution,
     weight_matrix,
 )
-from rmcode.errors import BudgetExceeded, InternalInconsistency, Unsupported
+from rmcode.errors import BudgetExceeded, InternalInconsistency
 from rmcode.gf import Field
 from rmcode.golden import CORPUS, load_entry
 from rmcode.groebner import monomial_colon
@@ -224,12 +224,6 @@ def test_representative_independence_of_weights(F3, F5):
 def test_monomial_equivalence_identity(F3):
     C = LinearCode.from_rows(F3, [[1, 0, 2], [0, 1, 1]])
     assert monomially_equivalent(C, C, [1, 1, 1])
-
-
-def test_monomial_equivalence_requires_witness(F3):
-    C = LinearCode.from_rows(F3, [[1, 0, 2], [0, 1, 1]])
-    with pytest.raises(Unsupported):
-        monomially_equivalent(C, C)
 
 
 def test_monomial_equivalence_torus_witness(F5):

@@ -12,7 +12,8 @@ from rmcode.errors import (
     ReducibleModulus,
     Unsupported,
 )
-from rmcode.gf import BUILTIN_MODULI, Field, FqElement, primitive_element
+from rmcode.gf import BUILTIN_MODULI, Field, _poly_mulmod, search_modulus
+
 
 def _is_prime(n):
     return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
@@ -74,13 +75,12 @@ def test_generator_power_identity():
 
 
 def _orders(F):
-    return {x: FqElement(F, x).multiplicative_order() for x in range(1, F.q)}
+    return {x: F._order_of(x) for x in range(1, F.q)}
 
 
 def test_primitive_element_f4():
     F = Field(2, 2)
-    g = primitive_element(F)
-    assert g.code == F.p  # the basis root a
+    assert F.generator == F.p  # the basis root a
     # every element of F_4^* other than 1 has order 3
     assert all(o == 3 for x, o in _orders(F).items() if x != 1)
 
@@ -164,8 +164,8 @@ def test_large_prime_field_builds_fast():
 
     assert primitive(F.generator)
     assert not any(primitive(g) for g in range(1, F.generator))
-    assert FqElement(F, F.generator).multiplicative_order() == p - 1
-    assert FqElement(F, 2).multiplicative_order() == 31  # 2^31 = 1 mod p
+    assert F._order_of(F.generator) == p - 1
+    assert F._order_of(2) == 31  # 2^31 = 1 mod p
 
 
 def test_characteristic_bound():
@@ -175,23 +175,15 @@ def test_characteristic_bound():
             Field(p)
 
 
-def test_element_operators():
-    F = Field(3, 2)
-    a = primitive_element(F)
-    assert (a + 1) - 1 == a
-    assert a * a.inverse() == FqElement(F, 1)
-    assert (-a) + a == FqElement(F, 0)
-    assert a**0 == FqElement(F, 1)
-    assert 2 / (a / a) == FqElement(F, 2)
-    with pytest.raises(DivisionByZero):
-        a / FqElement(F, 0)
+def test_inverse_of_zero_raises():
+    for F in (Field(5), Field(3, 2)):
+        with pytest.raises(DivisionByZero):
+            F.inv(0)
 
 
-def test_field_mismatch():
-    x = FqElement(Field(3), 1)
-    y = FqElement(Field(5), 1)
+def test_embedding_between_characteristics_raises():
     with pytest.raises(FieldMismatch):
-        x + y
+        Field(3).embedding_into(Field(5, 2))
 
 
 def test_literal_roundtrip():
@@ -235,3 +227,53 @@ def test_irreducibility_against_sympy_oracle():
             sum(c * x**i for i, c in enumerate(coeffs)), x, domain=sympy.GF(p)
         )
         assert is_irreducible(tuple(coeffs), p) == poly.is_irreducible
+
+
+def _tables_by_elements(F):
+    """Oracle: the add, mul, neg and inv tables of an extension field by
+    per-element arithmetic: digitwise sums, a reduced product of digit
+    tuples for every pair, an inverse scan and a digitwise negation."""
+    p, k, q = F.p, F.k, F.q
+    weights = p ** np.arange(k)
+    digits = np.array([F.coeffs_of(x) for x in range(q)])
+    add = ((digits[:, None, :] + digits[None, :, :]) % p * weights).sum(axis=2)
+
+    def code(coeffs):
+        return sum(int(c) * p**e for e, c in enumerate(coeffs))
+
+    mul = np.zeros((q, q), dtype=np.int64)
+    for x in range(q):
+        for y in range(x, q):
+            prod = _poly_mulmod(list(digits[x]), list(digits[y]), list(F.modulus), p)
+            mul[x, y] = mul[y, x] = code(prod)
+    inv = np.zeros(q, dtype=np.int64)
+    for x in range(1, q):
+        inv[x] = next(y for y in range(1, q) if mul[x, y] == 1)
+    neg = np.array([code((-c) % p for c in digits[x]) for x in range(q)])
+    return add, mul, neg, inv
+
+
+@pytest.mark.parametrize("q", sorted(BUILTIN_MODULI) + [121, 125, 169, 243, 343])
+def test_tables_match_per_element_arithmetic(q):
+    p = next(p for p in range(2, q + 1) if q % p == 0)
+    k = round(np.log(q) / np.log(p))
+    F = Field(p, k, search_modulus(p, k))  # the built-in modulus when there is one
+    add, mul, neg, inv = _tables_by_elements(F)
+    xs = np.arange(F.q)
+    X, Y = np.broadcast_to(xs[:, None], add.shape), np.broadcast_to(xs[None, :], add.shape)
+    assert np.array_equal(F.add_arr(X, Y), add)
+    assert np.array_equal(F.mul_arr(X, Y), mul)
+    assert np.array_equal(F.neg_arr(xs), neg)
+    assert [F.neg(x) for x in range(F.q)] == list(neg)
+    assert [F.inv(x) for x in range(1, F.q)] == list(inv[1:])
+    for arr in (F.add_arr(X, Y), F.mul_arr(X, Y), F.neg_arr(xs)):
+        assert arr.dtype == np.int64
+
+
+def test_largest_table_field_builds_fast():
+    modulus = search_modulus(2, 10)
+    t0 = time.perf_counter()
+    F = Field(2, 10, modulus)
+    assert time.perf_counter() - t0 < 3.0
+    assert F.q == 1024 and F._order_of(F.generator) == 1023
+    assert F.mul(F.generator, F.inv(F.generator)) == 1

@@ -6,9 +6,17 @@ import pytest
 
 from rmcode import linalg
 from rmcode.errors import DuplicatePoint, ParseError, TooFewPoints, ZeroPoint
+from rmcode.errors import CertificationFailed
 from rmcode.gf import Field
-from rmcode.groebner import standard_monomials_upto
-from rmcode.polyring import Poly, monomials_of_degree
+from rmcode.golden import CORPUS, load_entry
+from rmcode.groebner import (
+    GroebnerBasis,
+    _next_layer,
+    buchberger,
+    gb_certify,
+    standard_monomials_upto,
+)
+from rmcode.polyring import GREVLEX, Poly, TermOrder, monomials_of_degree
 from rmcode.variety import (
     PointSet,
     format_points,
@@ -202,3 +210,80 @@ def test_order_line_parse():
     text = "field 3 1\nvars 3\norder glex perm=3,2,1\n1 0 0\n0 1 0\n"
     X, order = points_parse(text)
     assert order.kind == "glex" and order.perm == (3, 2, 1)
+
+
+def _vanishing_ideal_by_elimination(X, order):
+    """Oracle: interpolation one candidate at a time.  Each candidate's
+    evaluation vector is reduced against the rows of the standard monomials
+    accepted so far, tracking each row as a combination of them; a vector
+    that reduces to zero gives the candidate minus that combination."""
+    f, s, m = X.field, X.s, X.m
+    gens, leads = [], []
+    r0, d = None, 0
+    accepted = _next_layer(None, s, leads)
+    while True:
+        d += 1
+        candidates = sorted(_next_layer(accepted, s, leads), key=order.key)
+        accepted, basis_rows, combos = [], [], []
+        for u in candidates:
+            red = X.eval_monomials([u])[0]
+            coeffs = np.zeros(len(accepted), dtype=np.int64)
+            for row, combo in zip(basis_rows, combos):
+                piv = int(np.nonzero(row)[0][0])
+                c = int(red[piv])
+                if c:
+                    factor = f.div(c, int(row[piv]))
+                    red = f.sub_arr(red, f.mul_arr(factor, row))
+                    coeffs = f.sub_arr(coeffs, f.mul_arr(factor, combo))
+            if np.any(red):
+                accepted.append(u)
+                basis_rows.append(red)
+                combos.append(np.concatenate([coeffs, [1]]).astype(np.int64))
+                combos = [np.pad(c, (0, len(accepted) - len(c))) for c in combos]
+            else:
+                terms = {u: 1}
+                terms.update((v, int(c)) for v, c in zip(accepted, coeffs) if c)
+                gens.append(Poly(f, s, terms))
+                leads.append(u)
+        if len(accepted) == m and r0 is None:
+            r0 = d
+        if r0 is not None and d >= r0 + 1:
+            break
+        assert d <= 4 * (m + s)
+    gb = GroebnerBasis(order, sorted(gens, key=lambda g: order.key(g.leading_monomial(order))))
+    if gb_certify(gb):
+        return GroebnerBasis(order, gb.gens, certified=True)
+    gb = buchberger(gens, order)
+    if not gb_certify(gb):
+        raise CertificationFailed("Buchberger fallback failed certification")
+    return gb
+
+
+def _orders_for(s):
+    return (GREVLEX, TermOrder("glex"), TermOrder("glex", tuple(range(s, 0, -1))))
+
+
+def _assert_same_ideal(X, order):
+    new, old = vanishing_ideal(X, order), _vanishing_ideal_by_elimination(X, order)
+    assert new.gens == old.gens
+    assert [list(g.terms) for g in new.gens] == [list(g.terms) for g in old.gens]
+    assert new.certified == old.certified
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_vanishing_ideal_matches_elimination_oracle_on_corpus(name):
+    X, order = points_parse(load_entry(name)[0])
+    for o in {order or GREVLEX, *_orders_for(X.s)}:
+        _assert_same_ideal(X, o)
+
+
+def test_vanishing_ideal_matches_elimination_oracle_on_random_sets():
+    rng = random.Random(5150)
+    fields = [Field(2), Field(3), Field(2, 2), Field(5), Field(7), Field(2, 3), Field(3, 2)]
+    for _ in range(12):
+        f = rng.choice(fields)
+        s = rng.choice([2, 3, 4] if f.q <= 3 else [2, 3])
+        m = rng.randint(2, min(20, (f.q**s - 1) // (f.q - 1)))
+        X = _random_pointset(rng, f, s, m)
+        for order in _orders_for(s):
+            _assert_same_ideal(X, order)
