@@ -67,7 +67,7 @@ class Analysis:
 
     @cached_property
     def isx(self):
-        return standard_indicators(self.X, self.gb)
+        return standard_indicators(self.X, self.gb, self.hd.r0)
 
     def code(self, d):
         C = self._codes.get(d)

@@ -12,40 +12,64 @@ from . import linalg
 from .errors import (
     IdentityViolated,
     InternalInconsistency,
-    NotArtinian,
+    InvalidParams,
     NotGorenstein,
     NotRegular,
 )
 from .gf import Field
 from .groebner import (
     GroebnerBasis,
-    buchberger,
+    _next_layer,
     gb_certify,
-    normal_form,
     standard_monomials_upto,
 )
-from .polyring import Poly, monomial_support
+from .polyring import Poly, format_monomial, monomial_support
+from .variety import basis_elements, interpolation_step
+
+
+@dataclass(eq=False)
+class ArtinianReduction:
+    """S/J for J = (I(X), h), built by one interpolation step per degree.
+
+    ``basis`` is the reduced certified Groebner basis of J.  ``steps[e]`` is
+    (candidates, std, nf, rows) of degree e: the candidates are every
+    variable times every standard monomial of degree e - 1, ascending; std
+    indexes the standard ones; column j of nf is the normal form of
+    candidate j over them; rows, the rows of h*C_X(e-1) followed by the
+    evaluations of the standard monomials, are a basis of C_X(e).  The
+    last step has no standard monomial.
+    """
+
+    basis: GroebnerBasis
+    steps: list
+
+    def layer(self, e):
+        """The standard monomials of S/J of degree e, descending."""
+        candidates, std = self.steps[e][:2]
+        return [candidates[c] for c in reversed(std)]
 
 
 @dataclass
 class ArtinianClassification:
     h: Poly
     extension_degree: int
-    J_basis: GroebnerBasis
+    reduction: ArtinianReduction
     socle: list              # (degree, standard polynomial) pairs
     type_: int
     level: bool
     gorenstein: bool
     s_number: int
-    reg_check: bool
     socle_monomial: tuple | None
+
+    @property
+    def J_basis(self):
+        return self.reduction.basis
 
     @property
     def socle_degrees(self):
         return sorted({d for d, _ in self.socle})
 
     def as_dict(self, order):
-        field = self.h.field
         return {
             "h": self.h.to_str(order),
             "extension_degree": self.extension_degree,
@@ -59,14 +83,8 @@ class ArtinianClassification:
             ],
             "socle_monomial": None
             if self.socle_monomial is None
-            else _mono_str(self.socle_monomial),
+            else format_monomial(self.socle_monomial),
         }
-
-
-def _mono_str(u):
-    from .polyring import format_monomial
-
-    return format_monomial(u)
 
 
 def _linear_form(field, s, coeffs):
@@ -142,93 +160,60 @@ def _extension_field(base, e):
     return Field(p, k, search_modulus(p, k))
 
 
-def lift_basis(gb, X, bigX):
-    """Coefficientwise image of a Groebner basis under the scalar extension
-    (the GB property is preserved by flat base change)."""
-    table = X.field.embedding_into(bigX.field)
-    gens = [g.map_field(bigX.field, table) for g in gb.gens]
-    return GroebnerBasis(gb.order, gens, certified=gb.certified)
+def artinian_reduce(X, order, h):
+    """The reduction S/(I(X), h) for a regular linear form h.
 
-
-def artinian_reduce(gb, h, X):
-    """Certified basis of J = (I, h) for a regular linear form h.
-
-    When h is the least variable under GRevLex the basis is G plus that
-    variable (certified directly); otherwise Buchberger runs on G + {h}.
+    J_e = I(X)_e + h*S_{e-1}, so (S/J)_e = C_X(e) / h*C_X(e-1): each degree
+    is one interpolation step on X with the rows of h*C_X(e-1), h times the
+    previous step's rows, fixed first.  The steps stop at the first degree
+    without a standard monomial.
     """
-    f = h.field
-    vals = X.eval_poly(h)
-    if np.any(vals == 0):
-        raise NotRegular(f"{h.to_str(gb.order)} vanishes at a point of X")
-    s = X.s
-    order = gb.order
-    perm = order.resolved_perm(s)
-    last_var = perm[-1] - 1
-    ts_mono = tuple(int(i == last_var) for i in range(s))
-    gens = gb.gens + (h,)
-    if (
-        order.kind == "grevlex"
-        and h.terms == {ts_mono: 1}
-        and all(u[last_var] == 0 for u in gb.leading_monomials())
-    ):
-        if not gb_certify(GroebnerBasis(order, gens)):
-            raise InternalInconsistency(
-                "G + {t_s} failed certification although t_s avoids all leads"
-            )
-        return GroebnerBasis(order, gens, certified=True)
-    return buchberger(gens, order)
+    f, s = X.field, X.s
+    if h.homogeneous_degree() != 1:
+        raise InvalidParams(f"h = {h.to_str(order)} is not a nonzero linear form")
+    hvals = X.eval_poly(h)
+    if np.any(hvals == 0):
+        raise NotRegular(f"{h.to_str(order)} vanishes at a point of X")
+    gens, leads, steps = [], [], []
+    candidates, hrows = [(0,) * s], np.zeros((0, X.m), dtype=np.int64)
+    while True:
+        ev, std, nf = interpolation_step(X, candidates, hrows)
+        gens += basis_elements(f, candidates, std, nf, leads)
+        rows = np.concatenate([hrows, ev[std]])
+        steps.append((candidates, std, nf, rows))
+        if not std:
+            break
+        hrows = f.mul_arr(rows, hvals[None, :])
+        layer = [candidates[c] for c in std]
+        candidates = sorted(_next_layer(layer, s, ()), key=order.key)
+    if not gb_certify(GroebnerBasis(order, gens)):
+        raise InternalInconsistency(
+            "the interpolated basis of (I, h) failed certification"
+        )
+    return ArtinianReduction(GroebnerBasis(order, gens, certified=True), steps)
 
 
-def _socle_basis(J, nvars):
-    """Per-degree socle of the Artinian quotient S/J.
+def socle(red):
+    """Socle basis, top degree, type, level/Gorenstein flags and s-number
+    of the reduction S/J.
 
-    Soc_e is the joint kernel of every multiplication-by-variable map
-    K Delta(J)_e -> K Delta(J)_{e+1}.
+    Soc_e is the joint kernel of the multiplication maps t_i:
+    (S/J)_e -> (S/J)_{e+1}; the column of t_i at u is the normal form of
+    t_i*u, a candidate of the degree-(e+1) step.
     """
-    f = J.field
-    leads = J.leading_monomials()
-    bound = 0  # no standard monomial has degree above sum_i (a_i - 1)
-    for i in range(nvars):
-        pure = [
-            u[i] for u in leads if all(e == 0 for j, e in enumerate(u) if j != i)
-        ]
-        if not any(pure):
-            raise NotArtinian(f"no pure power of t{i + 1} in the initial ideal")
-        bound += min(a for a in pure if a) - 1
-    per_degree = standard_monomials_upto(J, nvars, bound + 1)
-    top = max((d for d, layer in enumerate(per_degree) if layer), default=-1)
-    if top < 0:
-        raise NotArtinian("unit ideal")
-
-    out = []
+    f, s = red.basis.field, red.basis.nvars
+    top = len(red.steps) - 2
+    soc = []
     for e in range(top + 1):
-        basis_e = per_degree[e]
-        basis_e1 = per_degree[e + 1] if e + 1 <= top else []
-        index_e1 = {u: i for i, u in enumerate(basis_e1)}
-        rows = []
-        for var in range(nvars):
-            shift = tuple(int(i == var) for i in range(nvars))
-            M = np.zeros((len(basis_e1), len(basis_e)), dtype=np.int64)
-            for col, u in enumerate(basis_e):
-                prod = Poly.monomial(f, nvars, tuple(a + b for a, b in zip(u, shift)))
-                rem = normal_form(prod, J)
-                for w, c in rem.terms.items():
-                    M[index_e1[w], col] = c
-            rows.append(M)
-        stacked = np.concatenate(rows, axis=0) if rows else np.zeros((0, len(basis_e)))
-        if stacked.shape[0] == 0:
-            kernel = np.eye(len(basis_e), dtype=np.int64)
-        else:
-            kernel = linalg.nullspace(f, stacked)
-        for vec in kernel:
-            terms = {u: int(c) for u, c in zip(basis_e, vec) if c}
-            out.append((e, Poly(f, nvars, terms)))
-    return out, top, per_degree
-
-
-def socle(J, nvars):
-    """Socle basis, type, level/Gorenstein flags and s-number of S/J."""
-    soc, top, _ = _socle_basis(J, nvars)
+        layer = red.layer(e)
+        candidates, _, nf, _ = red.steps[e + 1]
+        index = {u: j for j, u in enumerate(candidates)}
+        maps = [
+            nf[:, [index[u[:i] + (u[i] + 1,) + u[i + 1 :]] for u in layer]]
+            for i in range(s)
+        ]
+        for vec in linalg.nullspace(f, np.concatenate(maps)):
+            soc.append((e, Poly(f, s, {u: int(c) for u, c in zip(layer, vec) if c})))
     if not soc:
         raise InternalInconsistency("an Artinian quotient has a nonzero socle")
     type_ = len(soc)
@@ -244,30 +229,26 @@ def classify(A, h=None):
     by default the preference-ordered search is used, extending scalars when
     no form over F_q avoids all points.
     """
-    X, gb, hd = A.X, A.gb, A.hd
-    if h is not None:
-        ext_degree, workX, work_gb = 1, X, gb
-        hpoly = h
+    X, hd = A.X, A.hd
+    if h is None:
+        h, ext_degree, workX = find_regular_linear_form(X)
     else:
-        hpoly, ext_degree, workX = find_regular_linear_form(X)
-        work_gb = gb if ext_degree == 1 else lift_basis(gb, X, workX)
-    J = artinian_reduce(work_gb, hpoly, workX)
-    soc, top, type_, level, gorenstein, s_number = socle(J, workX.s)
-    reg_check = top == hd.r0
-    if not reg_check:
+        ext_degree, workX = 1, X
+    red = artinian_reduce(workX, A.order, h)
+    soc, top, type_, level, gorenstein, s_number = socle(red)
+    if top != hd.r0:
         raise InternalInconsistency(
             f"largest nonzero degree of S/J is {top}, expected r0 = {hd.r0}"
         )
     # Hilbert values of the reduction must be the h-vector
-    per_degree = standard_monomials_upto(J, workX.s, top)
-    dims = tuple(len(per_degree[d]) for d in range(top + 1))
+    dims = tuple(len(step[1]) for step in red.steps[: top + 1])
     if dims != hd.h_vector:
         raise InternalInconsistency(
             f"reduction Hilbert values {dims} differ from the h-vector {hd.h_vector}"
         )
     socle_monomial = None
     if gorenstein:
-        top_std = per_degree[hd.r0]
+        top_std = red.layer(hd.r0)
         if len(top_std) != 1:
             raise InternalInconsistency(
                 "Gorenstein reduction must have a unique top standard monomial"
@@ -278,16 +259,7 @@ def classify(A, h=None):
             "level with symmetric h-vector must be Gorenstein"
         )
     return ArtinianClassification(
-        hpoly,
-        ext_degree,
-        J,
-        soc,
-        type_,
-        level,
-        gorenstein,
-        s_number,
-        reg_check,
-        socle_monomial,
+        h, ext_degree, red, soc, type_, level, gorenstein, s_number, socle_monomial
     )
 
 
@@ -300,26 +272,32 @@ def verify_socle_identities(A, cls):
     h = t_s and all last coordinates 1: the top monomial is essential and
     t_s-free, the multiple is lc(f_i), and f_i minus it is divisible by t_s;
     (4) multiplying standard monomials by powers of t_s stays standard.
+
+    The remainders come from the degree-r0 step: f_i - lambda_i*t^a lies in
+    J, so ev(f_i) = f_i(P_i)*e_i and lambda_i*ev(t^a) differ by a vector of
+    h*C_X(r0-1), and lambda_i = f_i(P_i)*w_i for the w orthogonal to
+    h*C_X(r0-1) with w . ev(t^a) = 1.
     """
     if not cls.gorenstein:
         raise NotGorenstein("socle identities require a Gorenstein ideal")
     X, gb, isx = A.X, A.gb, A.isx
     r0 = A.hd.r0
     t_a = cls.socle_monomial
-    J = cls.J_basis
-    fstar = J.field
-    lambdas = []
-    fs = isx.fs
+    fstar = cls.J_basis.field
+    values = isx.values
     if cls.extension_degree > 1:
-        table = X.field.embedding_into(fstar)
-        fs = [g.map_field(fstar, table) for g in fs]
-    for i, fi in enumerate(fs):
-        rem = normal_form(fi, J)
-        if set(rem.terms) != {t_a}:
+        values = X.field.embedding_into(fstar)[values]
+    rows = cls.reduction.steps[r0][3]
+    w = linalg.solve(fstar, rows, np.eye(X.m, dtype=np.int64)[-1])
+    if w is None:
+        raise InternalInconsistency("the degree-r0 rows of S/J must span C_X(r0)")
+    lambdas = []
+    for i, deg in enumerate(isx.degrees):
+        if deg != r0:
+            raise IdentityViolated(2, f"deg f_{i + 1} = {deg} != r0 = {r0}")
+        lambdas.append(fstar.mul(int(values[i]), int(w[i])))
+        if lambdas[-1] == 0:
             raise IdentityViolated(1, f"remainder of f_{i + 1} is not a t^a multiple")
-        lambdas.append(rem.terms[t_a])
-        if isx.degrees[i] != r0:
-            raise IdentityViolated(2, f"deg f_{i + 1} = {isx.degrees[i]} != r0 = {r0}")
 
     s = X.s
     order = gb.order
@@ -359,6 +337,6 @@ def verify_socle_identities(A, cls):
     return {
         "socle_monomial": t_a,
         "lambdas": lambdas,
-        "remainder_checked": len(fs),
+        "remainder_checked": len(lambdas),
         "special_form": special,
     }

@@ -123,8 +123,12 @@ def _render_table(report, elapsed):
 
 def cmd_analyze(args):
     try:
-        text = sys.stdin.read() if args.points == "-" else open(args.points).read()
-    except OSError as exc:
+        if args.points == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.points, encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from . import linalg
 from .errors import (
     BudgetExceeded,
     ConditionFailed,
@@ -17,8 +18,8 @@ from .errors import (
     NotGorenstein,
 )
 from .codes import LinearCode, dual_code, min_distance
-from .groebner import normal_form, standard_monomials_upto
-from .polyring import Poly, monomial_support
+from .groebner import standard_monomials_upto
+from .polyring import monomial_mul, monomial_support
 
 
 @dataclass
@@ -150,8 +151,8 @@ def local_duality_verify(A, gamma1, gamma2, t_e, projective_mode=False):
     if len(d) != 1 or len(k) != 1:
         raise ConditionFailed(1, "subsets must be homogeneous in degree")
     d, k = d.pop(), k.pop()
-    std = standard_monomials_upto(A.gb, X.s, max(d, k))
-    if not set(gamma1) <= set(std[d]) or not set(gamma2) <= set(std[k]):
+    layers = standard_monomials_upto(A.gb, X.s, max(d, k))
+    if not set(gamma1) <= set(layers[d]) or not set(gamma2) <= set(layers[k]):
         raise ConditionFailed(1, "subsets must consist of standard monomials")
     if projective_mode:
         if d + k > r0:
@@ -162,14 +163,15 @@ def local_duality_verify(A, gamma1, gamma2, t_e, projective_mode=False):
         raise ConditionFailed(
             2, f"|Gamma1| + |Gamma2| = {len(gamma1) + len(gamma2)} != m = {m}"
         )
-    for u1 in gamma1:
-        for u2 in gamma2:
-            prod = Poly.monomial(f, X.s, tuple(a + b for a, b in zip(u1, u2)))
-            rem = normal_form(prod, A.gb)
-            if t_e in rem.terms:
-                raise ConditionFailed(
-                    3, f"{t_e} appears in the remainder of a product"
-                )
+    # remainders modulo I(X) in degree d + k: coordinates over the standard
+    # monomials of the products' evaluations, from one RREF
+    std = standard_monomials_upto(A.gb, X.s, d + k)[d + k]
+    if t_e in std:
+        prods = [monomial_mul(u1, u2) for u1 in gamma1 for u2 in gamma2]
+        ev = np.concatenate([X.eval_monomials(std), X.eval_monomials(prods)])
+        R, _ = linalg.rref(f, ev.T)
+        if np.any(R[std.index(t_e), len(std) :]):
+            raise ConditionFailed(3, f"{t_e} appears in the remainder of a product")
 
     gamma = [
         f.div(fi.coeff(t_e), val) for fi, val in zip(isx.fs, isx.values)

@@ -10,8 +10,7 @@ import numpy as np
 from . import linalg
 from .errors import InternalInconsistency
 from .groebner import standard_monomials_upto
-from .polyring import Poly
-from .variety import hilbert_data
+from .polyring import Poly, format_monomial
 
 
 @dataclass
@@ -54,17 +53,11 @@ class IndicatorSet:
                 }
                 for f, v, d in zip(self.fs, self.values, self.degrees)
             ],
-            "essential_monomials": [_mono_str(u) for u in self.essential],
+            "essential_monomials": [format_monomial(u) for u in self.essential],
             "v_number": self.v_number,
             "v_local": list(self.degrees),
             "v_sorted": list(self.v_sorted),
         }
-
-
-def _mono_str(u):
-    from .polyring import format_monomial
-
-    return format_monomial(u)
 
 
 def _solve_indicator(field, A_aug_rref, pivots, width, i):
@@ -85,8 +78,9 @@ def _solve_indicator(field, A_aug_rref, pivots, width, i):
     return x
 
 
-def standard_indicators(X, gb):
-    """Compute the IndicatorSet of X from a certified basis of I(X).
+def standard_indicators(X, gb, r0):
+    """Compute the IndicatorSet of X from a certified basis of I(X) and its
+    regularity index r0, which bounds every degree.
 
     For each point the smallest degree d is found where the linear system
     over the degree-d standard monomials evaluates to the i-th unit vector;
@@ -94,8 +88,6 @@ def standard_indicators(X, gb):
     """
     f = X.field
     m = X.m
-    # degrees are bounded by r0
-    r0 = hilbert_data(gb, m, nvars=X.s).r0
     per_degree = standard_monomials_upto(gb, X.s, r0)
 
     fs = [None] * m
@@ -129,7 +121,6 @@ def standard_indicators(X, gb):
     for i in range(m):
         fs[i] = fs[i].monic(order)
         vec = X.eval_poly(fs[i])
-        expected = np.zeros(m, dtype=np.int64)
         if any(vec[j] != 0 for j in range(m) if j != i) or vec[i] == 0:
             raise InternalInconsistency("indicator vanishing pattern violated")
         values.append(int(vec[i]))

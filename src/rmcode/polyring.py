@@ -289,10 +289,6 @@ class Poly:
             {u + (0,) * n_new: c for u, c in self.terms.items()},
         )
 
-    def map_field(self, big, table):
-        """Coefficientwise image under an embedding code table."""
-        return Poly(big, self.nvars, {u: int(table[c]) for u, c in self.terms.items()})
-
     # text form
 
     def to_str(self, order=GREVLEX, var_names=None):

@@ -2,7 +2,7 @@
 
 The vanishing ideal is computed degree by degree from the kernel of the
 evaluation map (exact linear algebra), then certified with Buchberger's
-criterion; a full Buchberger run is the fallback.
+criterion.
 """
 
 from __future__ import annotations
@@ -25,12 +25,18 @@ from .gf import Field
 from .groebner import (
     GroebnerBasis,
     _next_layer,
-    buchberger,
     gb_certify,
     standard_monomials_upto,
 )
 from .linalg import rref
-from .polyring import GREVLEX, Poly, TermOrder
+from .polyring import (
+    GREVLEX,
+    Poly,
+    TermOrder,
+    monomial_coprime,
+    monomial_divides,
+    monomial_lcm,
+)
 
 
 class PointSet:
@@ -93,44 +99,25 @@ class PointSet:
 
     # evaluation helpers ----------------------------------------------------
 
-    def power_columns(self, dmax):
-        """POW[j][e] = column of codes x_j^e over the points, 0 <= e <= dmax."""
+    def eval_monomials(self, monomials):
+        """Evaluation matrix: one row per monomial, one column per point,
+        built by one gather of the powers of each coordinate."""
         f = self.field
-        cols = []
-        for j in range(self.s):
-            col = self.coords[:, j]
-            pows = [np.ones(self.m, dtype=np.int64)]
-            for _ in range(dmax):
-                pows.append(f.mul_arr(pows[-1], col))
-            cols.append(pows)
-        return cols
-
-    def eval_monomials(self, monomials, pow_cols=None):
-        """Evaluation matrix: one row per monomial, one column per point."""
-        f = self.field
-        if pow_cols is None:
-            dmax = max((sum(u) for u in monomials), default=0)
-            pow_cols = self.power_columns(dmax)
+        E = np.array(monomials, dtype=np.int64).reshape(len(monomials), self.s)
         rows = np.ones((len(monomials), self.m), dtype=np.int64)
-        for r, u in enumerate(monomials):
-            vec = rows[r]
-            for j, e in enumerate(u):
-                if e:
-                    vec = f.mul_arr(vec, pow_cols[j][e])
-            rows[r] = vec
+        for j in range(self.s):
+            pows = [np.ones(self.m, dtype=np.int64)]
+            for _ in range(int(E[:, j].max(initial=0))):
+                pows.append(f.mul_arr(pows[-1], self.coords[:, j]))
+            rows = f.mul_arr(rows, np.array(pows)[E[:, j]])
         return rows
 
     def eval_poly(self, poly):
         """Vector (f(P_1), ..., f(P_m)) of codes."""
         f = self.field
         out = np.zeros(self.m, dtype=np.int64)
-        pow_cols = self.power_columns(max(poly.degree(), 0))
-        for u, c in poly.terms.items():
-            vec = np.full(self.m, c, dtype=np.int64)
-            for j, e in enumerate(u):
-                if e:
-                    vec = f.mul_arr(vec, pow_cols[j][e])
-            out = f.add_arr(out, vec)
+        for c, row in zip(poly.terms.values(), self.eval_monomials(list(poly.terms))):
+            out = f.add_arr(out, f.mul_arr(c, row))
         return out
 
     def __repr__(self):
@@ -283,14 +270,60 @@ def format_points(field, s, rows, order=None, header=()):
 # -- vanishing ideal --------------------------------------------------------------
 
 
+def interpolation_step(X, candidates, fixed=None):
+    """One degree of the interpolation on the evaluation map of X.
+
+    ``candidates`` are monomials of one degree in ascending order; ``fixed``
+    optionally holds independent evaluation rows of a subspace V that is
+    already in the ideal (the rows of h*C_X(e-1) for (I(X), h)).  One RREF
+    of the matrix whose columns are the fixed rows, then the candidates'
+    evaluations: its pivots among the candidates are the standard
+    monomials, and column j of ``nf`` holds the coefficients over them of
+    the normal form of candidate j, because candidate j minus that
+    combination evaluates into V.
+
+    Returns (ev, std, nf): the candidates' evaluation rows, the indices of
+    the standard ones, and the (len(std), len(candidates)) matrix.
+    """
+    ev = X.eval_monomials(candidates)
+    rows = ev if fixed is None else np.concatenate([fixed, ev])
+    k = len(rows) - len(ev)
+    R, pivots = rref(X.field, rows.T)
+    if pivots[:k] != tuple(range(k)):
+        raise InternalInconsistency(
+            "the fixed rows of an interpolation step are dependent"
+        )
+    return ev, [c - k for c in pivots[k:]], R[k:, k:]
+
+
+def basis_elements(field, candidates, std, nf, leads):
+    """The new basis elements of one interpolation step: u minus its normal
+    form for every candidate u that is not standard and that no monomial of
+    ``leads`` divides.  Their leading monomials are appended to ``leads``."""
+    out = []
+    is_std = set(std)
+    for j, u in enumerate(candidates):
+        if j in is_std or any(monomial_divides(v, u) for v in leads):
+            continue
+        terms = {u: 1}
+        for r, c in zip(std, nf[:, j]):
+            if c:
+                terms[candidates[r]] = field.neg(int(c))
+        out.append(Poly(field, len(u), terms))
+        leads.append(u)
+    return out
+
+
 def vanishing_ideal(X, order=GREVLEX):
     """Reduced certified Groebner basis of the homogeneous vanishing ideal.
 
-    Degree-by-degree interpolation: the evaluation vectors of the monomials
-    outside the current leading-term ideal, in ascending order, are the
-    columns of one matrix.  Its RREF pivot columns are the standard
-    monomials; every other column u_j depends on the pivots before it and
-    yields the basis element u_j - sum_r R[r, j] * (monomial of pivot r).
+    Degree-by-degree interpolation: the candidates of degree d are the
+    monomials above the standard monomials of degree d - 1 that no leading
+    monomial divides, and ``interpolation_step`` gives the standard ones and
+    the basis elements.  I(X) is generated in degrees <= r0 + 1, and a
+    basis complete up to the largest degree of lcm(u, v) over non-coprime
+    leading monomials u, v reduces every S-polynomial to zero, so the
+    interpolation runs until it has passed both.
     """
     f = X.field
     s = X.s
@@ -299,41 +332,33 @@ def vanishing_ideal(X, order=GREVLEX):
     gens = []
     leads = []
     r0 = None
+    bound = 0  # the largest degree of an S-pair of the leads found so far
     d = 0
     accepted = _next_layer(None, s, leads)
-    while True:
+    while r0 is None or d < max(r0 + 1, bound):
         d += 1
-        candidates = sorted(_next_layer(accepted, s, leads), key=order.key)
-        R, pivots = rref(f, X.eval_monomials(candidates).T)
-        accepted = [candidates[c] for c in pivots]  # standard monomials of degree d
-        for j, u in enumerate(candidates):
-            if j in pivots:
-                continue
-            terms = {u: 1}
-            for v, c in zip(accepted, R[:, j]):
-                if c:
-                    terms[v] = f.neg(int(c))
-            gens.append(Poly(f, s, terms))
-            leads.append(u)
-        if len(accepted) == m and r0 is None:
-            r0 = d
-        if r0 is not None and d >= r0 + 1:
-            break
         if d > 4 * (m + s):  # unreachable for honest inputs; loud bug trap
             raise CertificationFailed("interpolation failed to stabilize")
+        candidates = sorted(_next_layer(accepted, s, leads), key=order.key)
+        _, std, nf = interpolation_step(X, candidates)
+        old = len(leads)
+        gens += basis_elements(f, candidates, std, nf, leads)
+        for i in range(old, len(leads)):
+            for v in leads[:i]:
+                if not monomial_coprime(leads[i], v):
+                    bound = max(bound, sum(monomial_lcm(leads[i], v)))
+        accepted = [candidates[c] for c in std]  # standard monomials of degree d
+        if r0 is None and len(accepted) == m:
+            r0 = d
 
-    gb = GroebnerBasis(order, sorted(gens, key=lambda g: order.key(g.leading_monomial(order))))
-    if gb_certify(gb):
-        gb = GroebnerBasis(order, gb.gens, certified=True)
-    else:
-        gb = buchberger(gens, order)
-        if not gb_certify(gb):
-            raise CertificationFailed("Buchberger fallback failed certification")
+    gb = GroebnerBasis(order, gens)
+    if not gb_certify(gb):
+        raise CertificationFailed("the interpolated basis failed certification")
     # every generator must vanish on X
-    for g in gb.gens:
+    for g in gens:
         if np.any(X.eval_poly(g)):
             raise InternalInconsistency("basis element does not vanish on X")
-    return gb
+    return GroebnerBasis(order, gens, certified=True)
 
 
 # -- Hilbert data -----------------------------------------------------------------

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from rmcode import codes, duality
+from rmcode import codes, duality, groebner
 from rmcode.analysis import Analysis, AnalysisRequest, analyze_text
 from rmcode.gf import Field
 from rmcode.golden import CORPUS, load_entry
@@ -26,6 +26,15 @@ EVERY_FLAG = AnalysisRequest(
 )
 
 
+def _rebind(monkeypatch, fn, replacement):
+    """Route every rmcode binding of ``fn`` through ``replacement``."""
+    for name, mod in list(sys.modules.items()):
+        if name == "rmcode" or name.startswith("rmcode."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
 def _count_calls(monkeypatch, fn, key):
     """Route every rmcode binding of ``fn`` through a counter by ``key``."""
     counts = collections.Counter()
@@ -34,11 +43,7 @@ def _count_calls(monkeypatch, fn, key):
         counts[key(*args)] += 1
         return fn(*args)
 
-    for name, mod in list(sys.modules.items()):
-        if name == "rmcode" or name.startswith("rmcode."):
-            for attr, value in list(vars(mod).items()):
-                if value is fn:
-                    monkeypatch.setattr(mod, attr, counted)
+    _rebind(monkeypatch, fn, counted)
     return counts
 
 
@@ -51,6 +56,59 @@ def test_analyze_builds_each_code_and_dual_once(name, monkeypatch):
     assert set(built) >= set(range(1, r0 + 1))
     assert max(built.values()) == 1
     assert duals and max(duals.values()) == 1
+
+
+# four points of P^2(F_5) whose reduced basis under glex has generators of
+# degree 4 > r0 + 1 = 3: interpolating only up to r0 + 1 misses them
+LATE_GENERATORS = """field 5 1
+vars 3
+order glex perm=1,2,3
+4 0 1
+2 4 1
+4 1 0
+1 3 1
+"""
+
+
+@pytest.mark.parametrize("name", [*CORPUS, "late_generators"])
+def test_analyze_runs_no_buchberger(name, monkeypatch):
+    """Every ideal of the pipeline comes from the per-degree interpolation:
+    no Buchberger run, and term-by-term division only inside gb_certify."""
+    text = LATE_GENERATORS if name == "late_generators" else load_entry(name)[0]
+    if name == "late_generators":
+        A = Analysis(*points_parse(text))
+        assert max(g.homogeneous_degree() for g in A.gb.gens) > A.hd.r0 + 1
+    calls = collections.Counter()
+    certifying = []
+    real_buchberger, real_certify, real_normal_form = (
+        groebner.buchberger,
+        groebner.gb_certify,
+        groebner.normal_form,
+    )
+
+    def buchberger(*args):
+        calls["buchberger"] += 1
+        return real_buchberger(*args)
+
+    def gb_certify(*args):
+        calls["gb_certify"] += 1
+        certifying.append(True)
+        try:
+            return real_certify(*args)
+        finally:
+            certifying.pop()
+
+    def normal_form(*args):
+        calls["normal_form", bool(certifying)] += 1
+        return real_normal_form(*args)
+
+    _rebind(monkeypatch, real_buchberger, buchberger)
+    _rebind(monkeypatch, real_certify, gb_certify)
+    _rebind(monkeypatch, real_normal_form, normal_form)
+    report, _ = analyze_text(text, EVERY_FLAG)
+    assert "artinian" in report
+    assert calls["buchberger"] == 0 and calls["normal_form", False] == 0
+    assert calls["gb_certify"] >= 2  # I(X) and (I(X), h)
 
 
 def test_selfdual_run_tests_self_orthogonality_once_per_degree(monkeypatch):

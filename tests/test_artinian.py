@@ -4,6 +4,8 @@ import random
 import numpy as np
 import pytest
 
+from rmcode import linalg
+from rmcode.analysis import Analysis
 from rmcode.artinian import (
     _avoids_all,
     _first_regular_form,
@@ -11,15 +13,15 @@ from rmcode.artinian import (
     artinian_reduce,
     classify,
     find_regular_linear_form,
-    lift_basis,
     socle,
     verify_socle_identities,
 )
-from rmcode.errors import NotGorenstein, NotRegular
+from rmcode.errors import NotArtinian, NotGorenstein, NotRegular
 from rmcode.gf import Field
-from rmcode.groebner import standard_monomials_upto
-from rmcode.polyring import parse_monomial, parse_poly
-from rmcode.variety import PointSet, points_full_projective, vanishing_ideal
+from rmcode.golden import CORPUS, load_entry
+from rmcode.groebner import buchberger, normal_form, standard_monomials_upto
+from rmcode.polyring import GREVLEX, Poly, TermOrder, parse_monomial, parse_poly
+from rmcode.variety import PointSet, points_full_projective, points_parse
 
 
 def _candidate_forms(field, s):
@@ -99,33 +101,34 @@ def test_projective_line_f3_needs_extension(F3):
     assert not np.any(bigX.eval_poly(h) == 0)
 
 
-def test_artinian_reduce_shortcut(five_points_frame, F3):
+def test_artinian_reduce_by_last_variable(five_points_frame, F3):
     X, gb, hd = five_points_frame.X, five_points_frame.gb, five_points_frame.hd
-    J = artinian_reduce(gb, parse_poly(F3, 4, "t4"), X)
-    assert J.certified
-    per = standard_monomials_upto(J, 4, hd.r0 + 1)
-    assert tuple(len(p) for p in per[: hd.r0 + 1]) == hd.h_vector
+    red = artinian_reduce(X, gb.order, parse_poly(F3, 4, "t4"))
+    assert red.basis.certified
+    assert red.basis.gens == buchberger(gb.gens + (parse_poly(F3, 4, "t4"),), gb.order).gens
+    assert tuple(len(red.layer(e)) for e in range(hd.r0 + 1)) == hd.h_vector
+    assert red.layer(hd.r0 + 1) == []
 
 
 def test_artinian_reduce_general_form(five_points_socle, F3):
     X, gb, hd = five_points_socle.X, five_points_socle.gb, five_points_socle.hd
-    J = artinian_reduce(gb, parse_poly(F3, 4, "t1+t4"), X)
-    per = standard_monomials_upto(J, 4, hd.r0 + 1)
+    red = artinian_reduce(X, gb.order, parse_poly(F3, 4, "t1+t4"))
+    per = standard_monomials_upto(red.basis, 4, hd.r0 + 1)
     assert tuple(len(p) for p in per[: hd.r0 + 1]) == (1, 3, 1)
     assert per[hd.r0] == (parse_monomial(4, "t3*t4"),)
+    assert [tuple(red.layer(e)) for e in range(hd.r0 + 2)] == list(per)
 
 
 def test_artinian_reduce_two_points(F3):
     X = PointSet(F3, [[1, 1], [0, 1]])
-    gb = vanishing_ideal(X)
-    J = artinian_reduce(gb, parse_poly(F3, 2, "t2"), X)
-    per = standard_monomials_upto(J, 2, 2)
+    red = artinian_reduce(X, GREVLEX, parse_poly(F3, 2, "t2"))
+    per = standard_monomials_upto(red.basis, 2, 2)
     assert per[0] == ((0, 0),) and per[1] == ((1, 0),) and per[2] == ()
 
 
 def test_artinian_reduce_rejects_zero_divisor(nine_points, F3):
     with pytest.raises(NotRegular):
-        artinian_reduce(nine_points.gb, parse_poly(F3, 3, "t1"), nine_points.X)
+        artinian_reduce(nine_points.X, GREVLEX, parse_poly(F3, 3, "t1"))
 
 
 def test_socle_five_points(five_points_socle, F3):
@@ -167,38 +170,30 @@ def test_socle_plane_f3(plane_f3):
 
 
 def test_socle_maximal_ideal_guard(F3):
-    from rmcode.groebner import buchberger
-    from rmcode.polyring import GREVLEX
-
     J = buchberger([parse_poly(F3, 2, "t1"), parse_poly(F3, 2, "t2")], GREVLEX)
-    soc, top, type_, level, gorenstein, s_number = socle(J, 2)
-    assert type_ == 1 and gorenstein and s_number == 0 and top == 0
+    soc, top = _socle_by_division(J, 2)
+    assert [e for e, _ in soc] == [0] and top == 0
 
 
 def test_socle_rejects_positive_dimension(F3):
-    from rmcode.errors import NotArtinian
-    from rmcode.groebner import buchberger
-    from rmcode.polyring import GREVLEX
-
     J = buchberger([parse_poly(F3, 3, "t1"), parse_poly(F3, 3, "t2^2")], GREVLEX)
     with pytest.raises(NotArtinian):
-        socle(J, 3)
+        _socle_by_division(J, 3)
 
 
 def test_extension_invariance(five_points_frame, F3):
     """Classifying after a forced scalar extension gives the same verdicts."""
-    X, gb = five_points_frame.X, five_points_frame.gb
+    X = five_points_frame.X
     base = classify(five_points_frame)
     big = Field(3, 2)
     bigX = X.lift(big)
-    big_gb = lift_basis(gb, X, bigX)
     hpoly = next(
         _linear_form(big, X.s, c)
         for c in _candidate_forms(big, X.s)
         if _avoids_all(bigX, c)
     )
-    J = artinian_reduce(big_gb, hpoly, bigX)
-    soc, top, type_, level, gorenstein, s_number = socle(J, X.s)
+    red = artinian_reduce(bigX, five_points_frame.order, hpoly)
+    soc, top, type_, level, gorenstein, s_number = socle(red)
     assert (type_, level, gorenstein, s_number) == (
         base.type_,
         base.level,
@@ -222,3 +217,124 @@ def test_level_symmetric_consistency(plane_f3, five_points_frame):
         cls = classify(A)
         if cls.level and A.hd.symmetric:
             assert cls.gorenstein
+
+
+# -- the term-by-term oracles ---------------------------------------------------
+
+
+def _reduction_by_buchberger(A, cls):
+    """Oracle: the reduced basis of (I(X), h) by Buchberger on the basis of
+    I(X), mapped coefficientwise into the field of h, plus h."""
+    gb, big = A.gb, cls.h.field
+    table = A.X.field.embedding_into(big)
+    return buchberger([_map_field(g, big, table) for g in gb.gens] + [cls.h], gb.order)
+
+
+def _map_field(g, big, table):
+    """The coefficientwise image of g under an embedding code table."""
+    return Poly(big, g.nvars, {u: int(table[c]) for u, c in g.terms.items()})
+
+
+def _socle_by_division(J, nvars):
+    """Oracle: the socle of S/J for any basis J of an Artinian ideal, each
+    multiplication map read from normal forms computed term by term.
+    Returns the (degree, polynomial) pairs and the top degree."""
+    f = J.field
+    leads = J.leading_monomials()
+    bound = 0  # no standard monomial has degree above sum_i (a_i - 1)
+    for i in range(nvars):
+        pure = [
+            u[i] for u in leads if all(e == 0 for j, e in enumerate(u) if j != i)
+        ]
+        if not any(pure):
+            raise NotArtinian(f"no pure power of t{i + 1} in the initial ideal")
+        bound += min(a for a in pure if a) - 1
+    per_degree = standard_monomials_upto(J, nvars, bound + 1)
+    top = max((d for d, layer in enumerate(per_degree) if layer), default=-1)
+    if top < 0:
+        raise NotArtinian("unit ideal")
+    out = []
+    for e in range(top + 1):
+        basis_e = per_degree[e]
+        basis_e1 = per_degree[e + 1] if e + 1 <= top else []
+        index_e1 = {u: i for i, u in enumerate(basis_e1)}
+        rows = []
+        for var in range(nvars):
+            shift = tuple(int(i == var) for i in range(nvars))
+            M = np.zeros((len(basis_e1), len(basis_e)), dtype=np.int64)
+            for col, u in enumerate(basis_e):
+                prod = Poly.monomial(f, nvars, tuple(a + b for a, b in zip(u, shift)))
+                rem = normal_form(prod, J)
+                for w, c in rem.terms.items():
+                    M[index_e1[w], col] = c
+            rows.append(M)
+        stacked = np.concatenate(rows, axis=0)
+        if stacked.shape[0] == 0:
+            kernel = np.eye(len(basis_e), dtype=np.int64)
+        else:
+            kernel = linalg.nullspace(f, stacked)
+        for vec in kernel:
+            terms = {u: int(c) for u, c in zip(basis_e, vec) if c}
+            out.append((e, Poly(f, nvars, terms)))
+    return out, top
+
+
+def _random_analysis_sets(count, seed):
+    rng = random.Random(seed)
+    fields = [Field(2), Field(3), Field(2, 2), Field(5), Field(7), Field(2, 3), Field(3, 2)]
+    out = []
+    while len(out) < count:
+        F = rng.choice(fields)
+        s = rng.choice([2, 3, 4] if F.q <= 3 else [2, 3])
+        pts = {tuple(rng.randrange(F.q) for _ in range(s)) for _ in range(rng.randint(2, 12))}
+        pts.discard((0,) * s)
+        try:
+            out.append(PointSet(F, sorted(pts), dedup=True))
+        except Exception:
+            continue
+    return out
+
+
+def _orders_for(s):
+    return (GREVLEX, TermOrder("glex"), TermOrder("glex", tuple(range(s, 0, -1))))
+
+
+def _assert_reduction_matches_oracles(A):
+    """J, its staircase, the socle and the lambdas of ``classify`` equal the
+    Buchberger and term-by-term oracles; returns the classification."""
+    cls = classify(A)
+    J = _reduction_by_buchberger(A, cls)
+    s = A.X.s
+    assert cls.J_basis.certified and cls.J_basis.gens == J.gens
+    top = A.hd.r0
+    oracle_layers = standard_monomials_upto(J, s, top + 1)
+    assert [tuple(cls.reduction.layer(e)) for e in range(top + 2)] == list(oracle_layers)
+    assert len(cls.reduction.steps) == top + 2
+    soc, oracle_top = _socle_by_division(J, s)
+    assert oracle_top == top and cls.socle == soc
+    if cls.gorenstein:
+        lambdas = verify_socle_identities(A, cls)["lambdas"]
+        table = A.X.field.embedding_into(J.field)
+        rems = [normal_form(_map_field(fi, J.field, table), J) for fi in A.isx.fs]
+        assert all(set(r.terms) == {cls.socle_monomial} for r in rems)
+        assert lambdas == [r.terms[cls.socle_monomial] for r in rems]
+    return cls
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_reduction_matches_oracles_on_corpus(name):
+    X, order = points_parse(load_entry(name)[0])
+    for o in {order or GREVLEX, *_orders_for(X.s)}:
+        _assert_reduction_matches_oracles(Analysis(X, o))
+
+
+def test_reduction_matches_oracles_on_random_sets():
+    """60 seeded sets over F_2..F_9 under grevlex, glex and reversed glex,
+    with Gorenstein and non-Gorenstein quotients and scalar extensions."""
+    kinds = set()
+    for X in _random_analysis_sets(60, 606):
+        for order in _orders_for(X.s):
+            cls = _assert_reduction_matches_oracles(Analysis(X, order))
+            kinds.add((cls.gorenstein, cls.extension_degree > 1, X.field.k > 1))
+    assert {g for g, _, _ in kinds} == {True, False}
+    assert any(e for _, e, _ in kinds) and any(k for _, _, k in kinds)

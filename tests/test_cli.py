@@ -230,6 +230,31 @@ def test_analyze_rejects_malformed_budget_env(frame_points_file, capsys, monkeyp
     assert err.count("\n") == 1 and "RMCODE_BUDGET" in err
 
 
+@pytest.mark.parametrize("form", ["t1^2+t2^2", "2", "0"])
+def test_analyze_rejects_a_pinned_form_that_is_not_linear(tmp_path, capsys, form):
+    # [1:0] and [0:1] of P^1(F_3): t1^2 + t2^2 vanishes at neither point
+    path = tmp_path / "two.points"
+    path.write_text("field 3 1\nvars 2\n1 0\n0 1\n")
+    assert main(["analyze", str(path), "--gorenstein", "--artinian-h", form]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "not a nonzero linear form" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_analyze_rejects_input_that_is_not_utf8(tmp_path, capsys, monkeypatch, source):
+    import io
+
+    data = "field 3 1\nvars 2\n1 0\n0 1\n".encode() + b"# \xff\xfe\n"
+    path = tmp_path / "latin.points"
+    path.write_bytes(data)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    assert main(["analyze", str(path) if source == "file" else "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "decode" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 @pytest.mark.parametrize("p", [2**31 + 11, 2**61 - 1])
 def test_analyze_rejects_characteristic_above_bound(tmp_path, capsys, p):
     path = tmp_path / "big.points"

@@ -21,8 +21,9 @@ from rmcode.duality import (
     self_dual_report,
 )
 from rmcode.errors import ConditionFailed, NotEssential, NotGorenstein
-from rmcode.polyring import parse_monomial
-from rmcode.variety import PointSet, points_full_projective
+from rmcode.groebner import normal_form, standard_monomials_upto
+from rmcode.polyring import Poly, monomial_mul, monomial_support, parse_monomial
+from rmcode.variety import PointSet, points_full_projective, points_torus
 from rmcode.artinian import classify
 
 
@@ -143,6 +144,52 @@ def test_local_duality_not_essential(four_points):
             four_points, [parse_monomial(4, "1")], [parse_monomial(4, "t1")],
             parse_monomial(4, "t4^2"),
         )
+
+
+def _splits(A, projective_mode):
+    """Every pair of nonempty standard-monomial subsets of degrees d, k with
+    d + k = r0 (<= r0 in projective mode) and m elements in all."""
+    layers = standard_monomials_upto(A.gb, A.X.s, A.hd.r0)
+    for d, k in itertools.product(range(A.hd.r0 + 1), repeat=2):
+        if d + k > A.hd.r0 or (d + k < A.hd.r0 and not projective_mode):
+            continue
+        for a in range(1, len(layers[d]) + 1):
+            b = A.X.m - a
+            if 1 <= b <= len(layers[k]):
+                for g1 in itertools.combinations(layers[d], a):
+                    for g2 in itertools.combinations(layers[k], b):
+                        yield list(g1), list(g2)
+
+
+@pytest.mark.parametrize(
+    "name, projective_mode",
+    [("nine_points", False), ("four_points", False), ("four_points", True), ("torus", False)],
+)
+def test_local_duality_remainder_condition_matches_division(
+    request, F5, name, projective_mode
+):
+    """Condition (3) holds exactly when no remainder of u1*u2 on division by
+    the basis of I(X), term by term, contains t_e."""
+    A = Analysis(points_torus(2, F5)) if name == "torus" else request.getfixturevalue(name)
+    checked = {True: 0, False: 0}
+    for t_e in A.isx.essential:
+        if projective_mode and A.X.s - 1 in monomial_support(t_e):
+            continue
+        for g1, g2 in _splits(A, projective_mode):
+            holds = all(
+                t_e not in normal_form(
+                    Poly.monomial(A.X.field, A.X.s, monomial_mul(u1, u2)), A.gb
+                ).terms
+                for u1 in g1
+                for u2 in g2
+            )
+            try:
+                local_duality_verify(A, g1, g2, t_e, projective_mode=projective_mode)
+                assert holds
+            except ConditionFailed as exc:
+                assert exc.which == 3 and not holds
+            checked[holds] += 1
+    assert checked[True] and checked[False]
 
 
 def test_self_dual_line_f9(F9):

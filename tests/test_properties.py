@@ -39,7 +39,7 @@ def test_v_number_is_min_distance_regularity():
         X = _random_pointset(rng, f, s, m)
         gb = vanishing_ideal(X)
         hd = hilbert_data(gb, X.m, nvars=s)
-        isx = standard_indicators(X, gb)
+        isx = standard_indicators(X, gb, hd.r0)
         try:
             deltas = {
                 d: min_distance(code_of_degree(X, gb, d))
@@ -83,7 +83,7 @@ def test_indicator_uniqueness_and_span_random():
         X = _random_pointset(rng, f, s, m)
         gb = vanishing_ideal(X)
         hd = hilbert_data(gb, X.m, nvars=s)
-        isx = standard_indicators(X, gb)
+        isx = standard_indicators(X, gb, hd.r0)
         assert max(isx.degrees) == hd.r0
         vecs = np.stack([X.eval_poly(fi) for fi in isx.fs])
         # the indicator matrix is diagonal with nonzero diagonal

@@ -213,10 +213,12 @@ def test_order_line_parse():
 
 
 def _vanishing_ideal_by_elimination(X, order):
-    """Oracle: interpolation one candidate at a time.  Each candidate's
-    evaluation vector is reduced against the rows of the standard monomials
-    accepted so far, tracking each row as a combination of them; a vector
-    that reduces to zero gives the candidate minus that combination."""
+    """Oracle: interpolation one candidate at a time up to degree r0 + 1.
+    Each candidate's evaluation vector is reduced against the rows of the
+    standard monomials accepted so far, tracking each row as a combination
+    of them; a vector that reduces to zero gives the candidate minus that
+    combination.  When the result fails certification, a full Buchberger
+    run restarts from it.  Returns the basis and whether it restarted."""
     f, s, m = X.field, X.s, X.m
     gens, leads = [], []
     r0, d = None, 0
@@ -252,11 +254,11 @@ def _vanishing_ideal_by_elimination(X, order):
         assert d <= 4 * (m + s)
     gb = GroebnerBasis(order, sorted(gens, key=lambda g: order.key(g.leading_monomial(order))))
     if gb_certify(gb):
-        return GroebnerBasis(order, gb.gens, certified=True)
+        return GroebnerBasis(order, gb.gens, certified=True), False
     gb = buchberger(gens, order)
     if not gb_certify(gb):
         raise CertificationFailed("Buchberger fallback failed certification")
-    return gb
+    return gb, True
 
 
 def _orders_for(s):
@@ -264,10 +266,21 @@ def _orders_for(s):
 
 
 def _assert_same_ideal(X, order):
-    new, old = vanishing_ideal(X, order), _vanishing_ideal_by_elimination(X, order)
+    """The interpolation gives the oracle's basis, generator order and term
+    order included; returns whether the oracle restarted Buchberger."""
+    new = vanishing_ideal(X, order)
+    old, restarted = _vanishing_ideal_by_elimination(X, order)
     assert new.gens == old.gens
-    assert [list(g.terms) for g in new.gens] == [list(g.terms) for g in old.gens]
-    assert new.certified == old.certified
+    assert new.certified and old.certified
+    new_terms = [list(g.terms) for g in new.gens]
+    if restarted:
+        # a Buchberger remainder lists its terms in descending order; the
+        # interpolation lists the lead, then the standard monomials ascending
+        assert [list(g.terms) for g in old.gens] == [order.sorted_desc(t) for t in new_terms]
+        assert new_terms == [t[:1] + order.sorted_desc(t[1:])[::-1] for t in new_terms]
+    else:
+        assert new_terms == [list(g.terms) for g in old.gens]
+    return restarted
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -287,3 +300,51 @@ def test_vanishing_ideal_matches_elimination_oracle_on_random_sets():
         X = _random_pointset(rng, f, s, m)
         for order in _orders_for(s):
             _assert_same_ideal(X, order)
+
+
+def test_vanishing_ideal_matches_elimination_oracle_where_it_restarts():
+    """60 more seeded sets over F_2..F_9 under the three orders; on many of
+    them the reduced basis has generators above degree r0 + 1, so
+    interpolating only up to r0 + 1 fails certification."""
+    rng = random.Random(6160)
+    fields = [Field(2), Field(3), Field(2, 2), Field(5), Field(7), Field(2, 3), Field(3, 2)]
+    restarts = 0
+    for _ in range(60):
+        f = rng.choice(fields)
+        s = rng.choice([2, 3, 4] if f.q <= 3 else [2, 3])
+        m = rng.randint(2, min(14, (f.q**s - 1) // (f.q - 1)))
+        X = _random_pointset(rng, f, s, m)
+        for order in _orders_for(s):
+            restarts += _assert_same_ideal(X, order)
+    assert restarts >= 20
+
+
+def test_vanishing_ideal_runs_past_a_degree_without_generators(F9):
+    """Under glex t3 > t2 > t1 these seven points of P^2(F_9) have r0 = 3
+    and basis elements in degrees 3, 4 and 6 but none in degree 5."""
+    X = PointSet(F9, [[5, 4, 1], [7, 1, 1], [6, 2, 1], [2, 7, 1], [3, 7, 1], [8, 4, 1], [6, 7, 1]])
+    order = TermOrder("glex", (3, 2, 1))
+    gb = vanishing_ideal(X, order)
+    assert hilbert_data(gb, X.m, nvars=3).r0 == 3
+    assert sorted({g.homogeneous_degree() for g in gb.gens}) == [3, 4, 6]
+    assert _assert_same_ideal(X, order)
+
+
+def test_evaluation_matches_pointwise_evaluation():
+    """The vectorized evaluation matrix and polynomial values equal
+    Poly.evaluate at each point, over prime and extension fields; no
+    monomial gives no row."""
+    rng = random.Random(77)
+    for f in (Field(2), Field(5), Field(2, 3), Field(3, 2), Field(2**31 - 1)):
+        for s in (2, 3):
+            X = _random_pointset(rng, f, s, min(6, (f.q**s - 1) // (f.q - 1)))
+            monos = [u for d in range(5) for u in monomials_of_degree(s, d)]
+            want = [
+                [Poly.monomial(f, s, u).evaluate([int(x) for x in pt]) for pt in X.coords]
+                for u in monos
+            ]
+            assert X.eval_monomials(monos).tolist() == want
+            assert X.eval_monomials([]).shape == (0, X.m)
+            g = Poly(f, s, {u: rng.randrange(f.q) for u in monos if rng.random() < 0.3})
+            points = [[int(x) for x in pt] for pt in X.coords]
+            assert X.eval_poly(g).tolist() == [g.evaluate(pt) for pt in points]
