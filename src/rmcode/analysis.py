@@ -48,7 +48,8 @@ class Analysis:
     (checked by ``symmetry_equiv_check``) and the indicator functions
     ``isx`` are computed on first use; ``code(d)`` and ``dual(d)`` build
     C_X(d) and its dual once per degree, the zero code for d < 0, with
-    read-only bases.
+    read-only bases.  The indicators are read off the RREF bases of
+    C_X(0), ..., C_X(r0), and each dual off the RREF basis of its code.
     """
 
     X: PointSet
@@ -67,7 +68,7 @@ class Analysis:
 
     @cached_property
     def isx(self):
-        return standard_indicators(self.X, self.gb, self.hd.r0)
+        return standard_indicators(self)
 
     def code(self, d):
         C = self._codes.get(d)

@@ -110,7 +110,9 @@ def _first_regular_form(X):
     position of that 1 and then lexicographically in the rest.  A
     depth-first search visits the rest in that order and cuts a prefix as
     soon as a point whose later coordinates are all 0 evaluates to 0: no
-    completion of the prefix avoids that point.
+    completion of the prefix avoids that point.  The last coefficient c is
+    read off at once: it must avoid the root -vals/t_s of each point with
+    t_s != 0, so the first of the q candidates outside those m roots wins.
     """
     f, s, P = X.field, X.s, X.coords
     for j in (s - 1, *range(s - 1)):
@@ -118,15 +120,24 @@ def _first_regular_form(X):
         if _avoids_all(X, single):
             return single
     # settled[j]: the points whose coordinates after j are all 0
-    settled = [~np.any(P[:, j + 1 :], axis=1) for j in range(s)]
+    settled = [~np.any(P[:, j + 1 :], axis=1) for j in range(s - 1)]
+    last = P[:, s - 1]
+    on_last = last != 0
+    inv_last = f.arr([f.inv(int(x)) for x in last[on_last]])
+
+    def last_coeff(vals):
+        roots = set(f.mul_arr(f.neg_arr(vals[on_last]), inv_last).tolist())
+        return next((c for c in range(f.q) if c not in roots), None)
 
     def search(coeffs, vals):
         j = len(coeffs) - 1
         if np.any(vals[settled[j]] == 0):
             return None
-        if j == s - 1:
-            # every single variable failed above, so this has two nonzeros
-            return tuple(coeffs)
+        if j == s - 2:
+            # every single variable failed above, so a form found here has
+            # two nonzeros
+            c = last_coeff(vals)
+            return None if c is None else (*coeffs, c)
         for c in range(f.q):
             nxt = f.add_arr(vals, f.mul_arr(c, P[:, j + 1])) if c else vals
             hit = search(coeffs + [c], nxt)
@@ -134,7 +145,8 @@ def _first_regular_form(X):
                 return hit
         return None
 
-    for lead in range(s):
+    # the single t_s, the only form with lead s, failed above
+    for lead in range(s - 1):
         hit = search([0] * lead + [1], P[:, lead])
         if hit is not None:
             return hit

@@ -231,7 +231,10 @@ def _iroot(n, k):
 def cmd_golden(args):
     names = [args.name] if args.name else None
     if args.name and args.name not in CORPUS:
-        print(f"error: unknown example {args.name!r}; known: {', '.join(CORPUS)}")
+        print(
+            f"error: unknown example {args.name!r}; known: {', '.join(CORPUS)}",
+            file=sys.stderr,
+        )
         return EXIT_INPUT
     if args.list:
         for n in CORPUS:

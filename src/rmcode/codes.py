@@ -58,6 +58,11 @@ class LinearCode:
         return self.basis.shape[0]
 
     @cached_property
+    def pivots(self):
+        """The pivot column of each basis row: its first nonzero entry."""
+        return tuple(int(c) for c in np.argmax(self.basis != 0, axis=1))
+
+    @cached_property
     def dual(self):
         """C^perp, built once per code; both bases are frozen with it."""
         D = dual_code(self)
@@ -76,17 +81,21 @@ class LinearCode:
     def contains_code(self, other):
         if other.dimension == 0:
             return True
-        return linalg.row_space_contains(self.field, self.basis, other.basis)
+        stacked = np.concatenate([self.basis, other.basis])
+        return linalg.rank(self.field, stacked) == self.dimension
 
     def scaled(self, beta):
-        """The monomially equivalent code beta . C (entrywise column scaling)."""
+        """The monomially equivalent code beta . C (entrywise column scaling).
+
+        Scaling keeps the zero pattern of the RREF basis, so dividing each
+        row by its scaled pivot entry gives the RREF of beta . C."""
         f = self.field
         beta = f.arr(beta)
         if np.any(beta == 0):
             raise ValueError("scaling vector must have nonzero entries")
-        return LinearCode.from_rows(
-            f, f.mul_arr(self.basis, beta[None, :]), length=self.length
-        )
+        rescale = f.arr([f.inv(int(beta[c])) for c in self.pivots])
+        B = f.mul_arr(f.mul_arr(self.basis, beta[None, :]), rescale[:, None])
+        return LinearCode(f, self.length, B)
 
 
 def code_of_degree(X, gb, d):
@@ -107,12 +116,12 @@ def code_of_degree(X, gb, d):
 
 
 def dual_code(C):
-    """C^perp as an RREF nullspace basis."""
+    """C^perp as an RREF nullspace basis, read off the RREF basis of C."""
     f = C.field
     if C.dimension == 0:
         eye = np.eye(C.length, dtype=np.int64)
         return LinearCode(f, C.length, eye, provenance=("dual",) + C.provenance)
-    N = linalg.nullspace(f, C.basis)
+    N = linalg.rref_nullspace(f, C.basis, C.pivots)
     return LinearCode(f, C.length, N, provenance=("dual",) + C.provenance)
 
 

@@ -218,13 +218,7 @@ def self_dual(A, d):
 
 def _ones_parity(field, rows):
     """True when the all-ones vector is orthogonal to every row."""
-    for row in rows:
-        total = 0
-        for x in row:
-            total = field.add(total, int(x))
-        if total:
-            return False
-    return True
+    return not np.any(field.sum_arr(rows, axis=1))
 
 
 def self_dual_report(A):

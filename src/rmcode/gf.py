@@ -333,6 +333,17 @@ class Field:
             return (a * b) % self.p
         return self._mul_t[a, b]
 
+    def sum_arr(self, a, axis=-1):
+        """The field sum along an axis.  Addition acts digit by digit on
+        codes, so each base-p digit is summed mod p."""
+        a = np.asarray(a)
+        if self.k == 1:
+            return a.sum(axis=axis) % self.p
+        weights = self.p ** np.arange(self.k)
+        return sum(
+            (a // w % self.p).sum(axis=axis) % self.p * w for w in weights.tolist()
+        )
+
     def pow_arr(self, a, e):
         out = np.ones_like(np.asarray(a))
         base = np.asarray(a)

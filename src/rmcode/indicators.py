@@ -60,58 +60,50 @@ class IndicatorSet:
         }
 
 
-def _solve_indicator(field, A_aug_rref, pivots, width, i):
-    """Solution of A c = e_i from a precomputed RREF of [A | I], or None."""
-    R = A_aug_rref
-    rhs_col = width + i
-    # consistency: no pivot may sit in the identity block,
-    # and rows that are zero on the A-block must be zero at e_i's column
-    x = np.zeros(width, dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        if pc >= width:
-            # this row reads 0 = (combination of unit vectors); the system
-            # A c = e_i is inconsistent iff that combination hits column i
-            if R[r, rhs_col] != 0:
-                return None
-        else:
-            x[pc] = R[r, rhs_col]
-    return x
+def _solve_indicators(field, M, new):
+    """The solutions c of M c = e_i, one row for each i in ``new``, from one
+    RREF of [M | E_new]; M has full column rank and each e_i lies in its
+    column space."""
+    width = M.shape[1]
+    E = np.zeros((M.shape[0], len(new)), dtype=np.int64)
+    E[new, np.arange(len(new))] = 1
+    R, pivots = linalg.rref(field, np.concatenate([M, E], axis=1))
+    if pivots != tuple(range(width)):
+        raise InternalInconsistency(
+            "an indicator system is inconsistent or its solution not unique"
+        )
+    return R[:, width:].T
 
 
-def standard_indicators(X, gb, r0):
-    """Compute the IndicatorSet of X from a certified basis of I(X) and its
-    regularity index r0, which bounds every degree.
+def standard_indicators(A):
+    """The IndicatorSet of the ``Analysis`` A.
 
-    For each point the smallest degree d is found where the linear system
-    over the degree-d standard monomials evaluates to the i-th unit vector;
-    the evaluation matrix has full column rank, so the solution is unique.
+    f_i has the smallest degree d at which e_i lies in C_X(d).  That holds
+    exactly when a row of the RREF basis of C_X(d) equals e_i, since a
+    unit vector off the pivot columns reduces to 0.  So the new indicators
+    of each degree are read off ``A.code(d)``, and only they are solved for
+    over the degree-d standard monomials, whose evaluation matrix has full
+    column rank, so the solution is unique.
     """
+    X, gb, r0 = A.X, A.gb, A.hd.r0
     f = X.field
     m = X.m
     per_degree = standard_monomials_upto(gb, X.s, r0)
 
     fs = [None] * m
     degrees = [None] * m
-    remaining = set(range(m))
     for d in range(r0 + 1):
-        if not remaining:
-            break
-        monos = per_degree[d]
-        if not monos:
+        C = A.code(d)
+        units = np.flatnonzero(np.count_nonzero(C.basis, axis=1) == 1)
+        new = [C.pivots[r] for r in units if degrees[C.pivots[r]] is None]
+        if not new:
             continue
-        A = X.eval_monomials(monos)            # |Delta_d| x m
-        width = len(monos)
-        aug = np.concatenate([A.T, np.eye(m, dtype=np.int64)], axis=1)
-        R, pivots = linalg.rref(f, aug)
-        for i in sorted(remaining):
-            x = _solve_indicator(f, R, pivots, width, i)
-            if x is None:
-                continue
-            terms = {u: int(c) for u, c in zip(monos, x) if c}
-            fs[i] = Poly(f, X.s, terms)
+        monos = per_degree[d]
+        sols = _solve_indicators(f, X.eval_monomials(monos).T, new)
+        for i, x in zip(new, sols):
+            fs[i] = Poly(f, X.s, {u: int(c) for u, c in zip(monos, x) if c})
             degrees[i] = d
-            remaining.discard(i)
-    if remaining:
+    if None in degrees:
         raise InternalInconsistency(
             "indicator systems must be solvable at degree r0"
         )

@@ -47,18 +47,21 @@ def nullspace(field, mat):
     a = np.asarray(mat)
     if a.ndim != 2:
         raise ValueError("matrix expected")
-    cols = a.shape[1]
-    R, pivots = rref(field, a)
-    free = [c for c in range(cols) if c not in pivots]
-    if not free:
-        return field.arr(np.zeros((0, cols), dtype=np.int64))
+    return rref_nullspace(field, *rref(field, a))
+
+
+def rref_nullspace(field, R, pivots):
+    """RREF basis of {x : R @ x = 0} for R already in RREF with the given
+    pivot columns: x is free off the pivots and x[pivots] = -R x[free]."""
+    cols = R.shape[1]
+    piv = set(pivots)
+    free = [c for c in range(cols) if c not in piv]
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = field.neg(int(R[r, fc]))
-    B, _ = rref(field, basis)
-    return B
+    if not free:
+        return basis
+    basis[np.arange(len(free)), free] = 1
+    basis[:, list(pivots)] = field.neg_arr(field.arr(R)[:, free]).T
+    return rref(field, basis)[0]
 
 
 def solve(field, mat, rhs):
@@ -74,12 +77,3 @@ def solve(field, mat, rhs):
     for r, pc in enumerate(pivots):
         x[pc] = R[r, cols]
     return x
-
-
-def row_space_contains(field, a, rows):
-    """True when every given row lies in the row space of a."""
-    Ra, _ = rref(field, a)
-    r0 = Ra.shape[0]
-    stacked = np.concatenate([Ra, field.arr(rows).reshape(-1, Ra.shape[1])], axis=0)
-    return rank(field, stacked) == r0
-

@@ -8,7 +8,7 @@ each with a variable permutation) are exposed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .errors import DimensionMismatch, ParseError, RingMismatch
 
@@ -54,6 +54,11 @@ class TermOrder:
 
     kind: str = "grevlex"
     perm: tuple = ()
+    # s -> the 0-based coordinates that ``key`` compares, in order; filled
+    # on the first key of each variable count
+    _compared: dict = dc_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.kind not in ("grevlex", "glex"):
@@ -70,11 +75,16 @@ class TermOrder:
 
     def key(self, u):
         """Sort key: ascending key order is ascending in the monomial order."""
-        perm = self.resolved_perm(len(u))
+        idx = self._compared.get(len(u))
+        if idx is None:
+            perm = self.resolved_perm(len(u))
+            if self.kind == "grevlex":
+                perm = perm[::-1]
+            idx = self._compared[len(u)] = tuple(i - 1 for i in perm)
         if self.kind == "glex":
-            return (sum(u), tuple(u[i - 1] for i in perm))
+            return (sum(u), tuple([u[i] for i in idx]))
         # grevlex: compare reversed permuted coordinates, negated
-        return (sum(u), tuple(-u[i - 1] for i in reversed(perm)))
+        return (sum(u), tuple([-u[i] for i in idx]))
 
     def compare(self, u, v):
         if len(u) != len(v):

@@ -288,7 +288,7 @@ def test_criterion_6_property_suites():
             H_d = hd.H[d] if d <= hd.r0 else m
             assert len(monos) - kernel.shape[0] == H_d
         if trial % 5 == 0:
-            isx = standard_indicators(X, gb, hd.r0)
+            isx = standard_indicators(Analysis(X))
             try:
                 deltas = {
                     d: min_distance(code_of_degree(X, gb, d))

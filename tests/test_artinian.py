@@ -8,6 +8,7 @@ from rmcode import linalg
 from rmcode.analysis import Analysis
 from rmcode.artinian import (
     _avoids_all,
+    _extension_field,
     _first_regular_form,
     _linear_form,
     artinian_reduce,
@@ -63,6 +64,69 @@ def test_pruned_search_matches_the_full_scan():
         checked += 1
         found += want is not None
     assert checked >= 200 and 0 < found < checked
+
+
+def _recursive_first_regular_form(X):
+    """Oracle: the depth-first search that recurses over all q values of
+    every coordinate, the last one included."""
+    f, s, P = X.field, X.s, X.coords
+    for j in (s - 1, *range(s - 1)):
+        single = tuple(int(i == j) for i in range(s))
+        if _avoids_all(X, single):
+            return single
+    settled = [~np.any(P[:, j + 1 :], axis=1) for j in range(s)]
+
+    def search(coeffs, vals):
+        j = len(coeffs) - 1
+        if np.any(vals[settled[j]] == 0):
+            return None
+        if j == s - 1:
+            return tuple(coeffs)
+        for c in range(f.q):
+            nxt = f.add_arr(vals, f.mul_arr(c, P[:, j + 1])) if c else vals
+            hit = search(coeffs + [c], nxt)
+            if hit is not None:
+                return hit
+        return None
+
+    for lead in range(s):
+        hit = search([0] * lead + [1], P[:, lead])
+        if hit is not None:
+            return hit
+    return None
+
+
+def _scalar_extensions(X):
+    """X and its lifts to F_{q^e} up to the first e with a regular form."""
+    workX, e = X, 1
+    while True:
+        yield workX
+        if _recursive_first_regular_form(workX) is not None:
+            return
+        e += 1
+        workX = X.lift(_extension_field(X.field, e))
+
+
+def test_last_coefficient_read_at_once_matches_the_recursive_search():
+    """The search that reads the last coefficient off the roots finds the
+    form the full recursion finds, on the corpus and on random sets over
+    prime and extension fields, scalar extensions included."""
+    sets = [points_parse(load_entry(name)[0])[0] for name in CORPUS]
+    rng = random.Random(31)
+    fields = [Field(2), Field(3), Field(5), Field(7), Field(2, 2), Field(3, 2), Field(2, 3)]
+    for trial in range(70):
+        F = fields[trial % len(fields)]
+        s = rng.randint(2, 4)
+        pts = {tuple(rng.randrange(F.q) for _ in range(s)) for _ in range(rng.randint(2, 16))}
+        pts.discard((0,) * s)
+        if pts:
+            sets.append(PointSet(F, sorted(pts), dedup=True))
+    extended = 0
+    for X in sets:
+        for workX in _scalar_extensions(X):
+            assert _first_regular_form(workX) == _recursive_first_regular_form(workX)
+            extended += workX is not X
+    assert len(sets) >= 75 and extended >= 10
 
 
 def test_regular_form_over_a_large_prime_field():

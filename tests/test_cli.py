@@ -153,7 +153,11 @@ def test_golden_command(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out and "0 divergences" in out
     assert main(["golden", "--list"]) == 0
+    capsys.readouterr()
     assert main(["golden", "nonexistent"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: unknown example 'nonexistent'; known: ci_four_points")
 
 
 def test_golden_detects_perturbed_expectation():

@@ -5,6 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from rmcode import linalg
 from rmcode.codes import (
     LinearCode,
     code_of_degree,
@@ -460,3 +461,63 @@ def test_macwilliams_rejects_a_corrupted_dual_distribution(F3, monkeypatch):
     monkeypatch.setattr(codes, "weight_distribution", corrupted)
     with pytest.raises(InternalInconsistency):
         min_distance(C)
+
+
+def _random_code(rng, F, k, m):
+    """The code spanned by k random rows of length m, rank k or less."""
+    rows = [[rng.randrange(F.q) for _ in range(m)] for _ in range(k)]
+    return LinearCode.from_rows(F, rows, length=m)
+
+
+def _row_space_contains(field, a, rows):
+    """Oracle: the row space of a contains every given row, by two RREFs."""
+    Ra, _ = linalg.rref(field, a)
+    stacked = np.concatenate([Ra, field.arr(rows).reshape(-1, Ra.shape[1])])
+    return linalg.rank(field, stacked) == Ra.shape[0]
+
+
+def _combine(F, rows, coeffs):
+    """The combination sum coeffs[i] * rows[i]."""
+    out = np.zeros(rows.shape[1], dtype=np.int64)
+    for c, row in zip(coeffs, rows):
+        out = F.add_arr(out, F.mul_arr(c, row))
+    return out
+
+
+RANDOM_CODE_FIELDS = [Field(2), Field(3), Field(5), Field(2, 2), Field(3, 2), Field(2, 3)]
+
+
+def test_dual_from_the_rref_matches_the_nullspace_oracle():
+    rng = random.Random(4242)
+    for trial in range(120):
+        F = RANDOM_CODE_FIELDS[trial % len(RANDOM_CODE_FIELDS)]
+        m = rng.randint(1, 9)
+        # k = 0 gives the zero code, k = m + 2 most often the full code
+        k = (0, m, m + 2, rng.randint(1, m))[trial % 4]
+        C = _random_code(rng, F, k, m)
+        assert dual_code(C) == LinearCode(F, m, linalg.nullspace(F, C.basis))
+
+
+def test_containment_and_scaling_match_the_elimination_oracles():
+    rng = random.Random(4343)
+    outcomes = set()
+    for trial in range(120):
+        F = RANDOM_CODE_FIELDS[trial % len(RANDOM_CODE_FIELDS)]
+        m = rng.randint(1, 8)
+        C = _random_code(rng, F, rng.randint(0, m), m)
+        # a subcode of C half the time, a random code otherwise
+        if trial % 2 and C.dimension:
+            msgs = [[rng.randrange(F.q) for _ in range(C.dimension)] for _ in range(2)]
+            D = LinearCode.from_rows(
+                F, [_combine(F, C.basis, row) for row in msgs], length=m
+            )
+        else:
+            D = _random_code(rng, F, rng.randint(0, m), m)
+        for a, b in ((C, D), (D, C)):
+            want = b.dimension == 0 or _row_space_contains(F, a.basis, b.basis)
+            assert a.contains_code(b) == want
+            outcomes.add(want)
+        beta = [rng.randrange(1, F.q) for _ in range(m)]
+        want = LinearCode.from_rows(F, F.mul_arr(C.basis, F.arr(beta)[None, :]), length=m)
+        assert C.scaled(beta) == want
+    assert outcomes == {True, False}

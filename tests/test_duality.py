@@ -13,6 +13,7 @@ from rmcode.codes import (
     monomially_equivalent,
 )
 from rmcode.duality import (
+    _ones_parity,
     global_duality,
     gorenstein_crosscheck,
     gorenstein_selfdual_classify,
@@ -21,6 +22,7 @@ from rmcode.duality import (
     self_dual_report,
 )
 from rmcode.errors import ConditionFailed, NotEssential, NotGorenstein
+from rmcode.gf import Field
 from rmcode.groebner import normal_form, standard_monomials_upto
 from rmcode.polyring import Poly, monomial_mul, monomial_support, parse_monomial
 from rmcode.variety import PointSet, points_full_projective, points_torus
@@ -283,3 +285,34 @@ def test_affine_duality_two_points(F3):
     cert, info, _ = affine_duality(F3, [[0], [1]])
     assert info["r0"] == 1 and cert.holds
     assert len(cert.beta) == 2
+
+
+def _ones_parity_by_elements(field, rows):
+    """Oracle: add up each row one field element at a time."""
+    for row in rows:
+        total = 0
+        for x in row:
+            total = field.add(total, int(x))
+        if total:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (3, 3), (3, 4)])
+def test_ones_parity_matches_the_elementwise_sum(p, k):
+    F = Field(p, k)
+    rng = np.random.default_rng(p * 10 + k)
+    hits = 0
+    for trial in range(60):
+        rows = rng.integers(0, F.q, size=(rng.integers(0, 4), rng.integers(1, 9)))
+        # force a zero sum in the last entry of every row half the time
+        if trial % 2 and rows.size:
+            for row in rows:
+                partial = 0
+                for x in row[:-1]:
+                    partial = F.add(partial, int(x))
+                row[-1] = F.neg(partial)
+        want = _ones_parity_by_elements(F, rows)
+        assert _ones_parity(F, rows) == want
+        hits += want
+    assert 0 < hits < 60

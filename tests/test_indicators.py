@@ -1,11 +1,16 @@
-import numpy as np
+import random
 
-from rmcode import linalg
+import numpy as np
+import pytest
+
+from rmcode import indicators, linalg
 from rmcode.analysis import Analysis
+from rmcode.gf import Field
+from rmcode.golden import CORPUS, load_entry
 from rmcode.indicators import colon_witness
 from rmcode.groebner import standard_monomials_upto
-from rmcode.polyring import parse_monomial, parse_poly
-from rmcode.variety import PointSet
+from rmcode.polyring import GREVLEX, Poly, TermOrder, parse_monomial, parse_poly
+from rmcode.variety import PointSet, points_parse
 
 
 def test_nine_point_indicators(nine_points, F3):
@@ -102,3 +107,87 @@ def test_uniqueness_under_reversed_pivoting(nine_points, F3):
 
         g = Poly(f, X.s, {u: int(c) for u, c in zip(monos, x) if c}).monic(gb.order)
         assert g == isx.fs[i]
+
+
+def _oracle_indicators(X, gb, r0):
+    """Oracle: at every degree d <= r0, one RREF of [A^T | I] over the
+    degree-d standard monomials solves A^T c = e_i for each point not yet
+    separated.  Returns (fs, values, degrees, essential)."""
+    f, m = X.field, X.m
+    per_degree = standard_monomials_upto(gb, X.s, r0)
+    fs, degrees = [None] * m, [None] * m
+    for d in range(r0 + 1):
+        monos = per_degree[d]
+        A = X.eval_monomials(monos)
+        width = len(monos)
+        R, pivots = linalg.rref(f, np.concatenate([A.T, np.eye(m, dtype=np.int64)], axis=1))
+        for i in range(m):
+            if fs[i] is not None:
+                continue
+            x = np.zeros(width, dtype=np.int64)
+            for r, pc in enumerate(pivots):
+                if pc >= width:
+                    if R[r, width + i] != 0:
+                        break
+                else:
+                    x[pc] = R[r, width + i]
+            else:
+                fs[i] = Poly(f, X.s, {u: int(c) for u, c in zip(monos, x) if c})
+                degrees[i] = d
+    fs = [fi.monic(gb.order) for fi in fs]
+    values = [int(X.eval_poly(fi)[i]) for i, fi in enumerate(fs)]
+    support = set.intersection(*(set(fi.terms) for fi in fs))
+    return fs, values, degrees, gb.order.sorted_desc(support)
+
+
+def _assert_matches_oracle(A):
+    isx = A.isx
+    want = _oracle_indicators(A.X, A.gb, A.hd.r0)
+    assert (isx.fs, isx.values, isx.degrees, isx.essential) == want
+    assert isx.r0 == A.hd.r0
+
+
+@pytest.mark.parametrize("order", [GREVLEX, TermOrder("glex")], ids=["grevlex", "glex"])
+@pytest.mark.parametrize("name", CORPUS)
+def test_indicators_match_the_per_degree_oracle_on_corpus(name, order):
+    X, _ = points_parse(load_entry(name)[0])
+    _assert_matches_oracle(Analysis(X, order))
+
+
+def test_indicators_match_the_per_degree_oracle_on_random_sets():
+    rng = random.Random(7070)
+    fields = [Field(2), Field(3), Field(5), Field(7), Field(2, 2), Field(3, 2), Field(2, 3)]
+    orders = [GREVLEX, TermOrder("glex"), TermOrder("glex", (3, 2, 1))]
+    spread = extension = 0
+    for trial in range(60):
+        F = fields[trial % len(fields)]
+        s = 3 if trial % 3 else 2
+        order = orders[trial % 3] if s == 3 else rng.choice(orders[:2])
+        m = rng.randint(2, min(12, (F.q**s - 1) // (F.q - 1)))
+        pts = set()
+        while len(pts) < m:
+            row = tuple(rng.randrange(F.q) for _ in range(s))
+            if any(row):
+                pts.add(row)
+        A = Analysis(PointSet(F, sorted(pts), dedup=True), order)
+        _assert_matches_oracle(A)
+        spread += len(set(A.isx.degrees)) > 1
+        extension += F.k > 1
+    assert spread >= 10 and extension >= 20
+
+
+def test_indicators_solve_only_at_degrees_with_new_indicators(
+    nine_points, ten_points, monkeypatch
+):
+    """With every C_X(d) built, the indicators take one RREF per distinct
+    local v-number (the parent solved a system at every degree 0..r0)."""
+    for A in (nine_points, ten_points):
+        A = Analysis(A.X, A.order)
+        for d in range(A.hd.r0 + 1):
+            A.code(d)
+        calls = []
+        rref = linalg.rref
+        monkeypatch.setattr(linalg, "rref", lambda *a: calls.append(1) or rref(*a))
+        isx = indicators.standard_indicators(A)
+        monkeypatch.undo()
+        assert len(calls) == len(set(isx.degrees)) < A.hd.r0 + 1

@@ -31,6 +31,30 @@ def test_compare_dimension_mismatch():
         GREVLEX.compare((1, 0), (1, 0, 0))
 
 
+def test_order_key_matches_the_permuted_tuple_and_rejects_bad_perms():
+    """The key reads its resolved permutation from a per-order cache and
+    equals the tuple built from the permutation on every call."""
+    rng = random.Random(11)
+    for kind in ("grevlex", "glex"):
+        for perm in ((), (1, 2, 3), (3, 1, 2), (2, 3, 1)):
+            order = TermOrder(kind, perm)
+            p = perm or (1, 2, 3)
+            for _ in range(50):
+                u = tuple(rng.randrange(4) for _ in range(3))
+                if kind == "glex":
+                    want = (sum(u), tuple(u[i - 1] for i in p))
+                else:
+                    want = (sum(u), tuple(-u[i - 1] for i in reversed(p)))
+                assert order.key(u) == want
+            assert order == TermOrder(kind, perm) and hash(order) == hash(TermOrder(kind, perm))
+        bad = TermOrder(kind, (1, 1, 2))
+        for _ in range(2):
+            with pytest.raises(DimensionMismatch):
+                bad.key((1, 0, 0))
+        with pytest.raises(DimensionMismatch):
+            TermOrder(kind, (3, 2, 1)).key((1, 0))
+
+
 def test_bad_order_kind():
     with pytest.raises(ValueError):
         TermOrder("lex")

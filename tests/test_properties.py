@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 
+from rmcode.analysis import Analysis
 from rmcode.codes import code_of_degree, min_distance
 from rmcode.errors import BudgetExceeded
 from rmcode.gf import Field
@@ -39,7 +40,7 @@ def test_v_number_is_min_distance_regularity():
         X = _random_pointset(rng, f, s, m)
         gb = vanishing_ideal(X)
         hd = hilbert_data(gb, X.m, nvars=s)
-        isx = standard_indicators(X, gb, hd.r0)
+        isx = standard_indicators(Analysis(X))
         try:
             deltas = {
                 d: min_distance(code_of_degree(X, gb, d))
@@ -83,7 +84,7 @@ def test_indicator_uniqueness_and_span_random():
         X = _random_pointset(rng, f, s, m)
         gb = vanishing_ideal(X)
         hd = hilbert_data(gb, X.m, nvars=s)
-        isx = standard_indicators(X, gb, hd.r0)
+        isx = standard_indicators(Analysis(X))
         assert max(isx.degrees) == hd.r0
         vecs = np.stack([X.eval_poly(fi) for fi in isx.fs])
         # the indicator matrix is diagonal with nonzero diagonal
