@@ -81,11 +81,11 @@ class Analysis:
         return self.code(d).dual
 
 
-def affine_duality(field, affine_rows, check_min_distance=True):
+def affine_duality(field, affine_rows):
     """The affine criterion via the projective closure Y = [X, 1]; returns
     the certificate, the affine Hilbert data and the ``Analysis`` of Y."""
     A = Analysis(projective_closure(field, affine_rows), GREVLEX)
-    cert = global_duality(A, check_min_distance=check_min_distance)
+    cert = global_duality(A)
     return cert, {"affine_hilbert_function": list(A.hd.H), "r0": A.hd.r0}, A
 
 

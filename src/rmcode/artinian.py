@@ -93,12 +93,7 @@ def _linear_form(field, s, coeffs):
 
 
 def _avoids_all(X, coeffs):
-    f = X.field
-    vals = np.zeros(X.m, dtype=np.int64)
-    for j, c in enumerate(coeffs):
-        if c:
-            vals = f.add_arr(vals, f.mul_arr(int(c), X.coords[:, j]))
-    return not np.any(vals == 0)
+    return bool(np.all(X.field.matmul(X.coords, np.reshape(coeffs, (-1, 1)))))
 
 
 def _first_regular_form(X):
@@ -183,7 +178,7 @@ def artinian_reduce(X, order, h):
     f, s = X.field, X.s
     if h.homogeneous_degree() != 1:
         raise InvalidParams(f"h = {h.to_str(order)} is not a nonzero linear form")
-    hvals = X.eval_poly(h)
+    hvals = X.eval_polys([h])[0]
     if np.any(hvals == 0):
         raise NotRegular(f"{h.to_str(order)} vanishes at a point of X")
     gens, leads, steps = [], [], []

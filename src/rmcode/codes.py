@@ -78,12 +78,6 @@ class LinearCode:
             and np.array_equal(self.basis, other.basis)
         )
 
-    def contains_code(self, other):
-        if other.dimension == 0:
-            return True
-        stacked = np.concatenate([self.basis, other.basis])
-        return linalg.rank(self.field, stacked) == self.dimension
-
     def scaled(self, beta):
         """The monomially equivalent code beta . C (entrywise column scaling).
 
@@ -149,28 +143,40 @@ def _digits(n_arr, base, ndigits):
     return out
 
 
+def _span_chunks(C, pivots):
+    """The r-dimensional subspaces of C whose RREF generator matrix over
+    the basis G of C has its pivots at the rows ``pivots``, in chunks of at
+    most _CHUNK generators.  Row i of a generator is G[pivots[i]] +
+    digits @ G[free], free the non-pivot rows after pivots[i], and the
+    digits of all rows are those of one counter.  A chunk is the (n, r, m)
+    boolean array of the rows' nonzero coordinates, all that the weights
+    need: a + b != 0 exactly when b != -a."""
+    f, G, k = C.field, C.basis, C.dimension
+    frees = [[c for c in range(p + 1, k) if c not in pivots] for p in pivots]
+    ends = np.cumsum([0] + [len(free) for free in frees]).tolist()
+    count = f.q ** ends[-1]
+    for start in range(0, count, _CHUNK):
+        digs = _digits(np.arange(start, min(start + _CHUNK, count)), f.q, ends[-1])
+        nonzero = np.empty((len(digs), len(pivots), C.length), dtype=bool)
+        for i, (p, free) in enumerate(zip(pivots, frees)):
+            span = f.matmul(digs[:, ends[i] : ends[i + 1]], G[free])
+            nonzero[:, i] = span != f.neg_arr(G[p])
+            del span  # not held across the yield
+        yield nonzero
+
+
 def weight_distribution(C):
     """[A_0, ..., A_m]: the number of codewords of C of each Hamming weight,
-    by enumerating one representative of each scalar class.  The caller
-    budgets the projective_count(k, q) classes."""
-    f = C.field
-    k, m = C.dimension, C.length
-    G = C.basis
+    by enumerating one representative of each scalar class, the r = 1
+    sweep of ``ghw``.  The caller budgets the projective_count(k, q)
+    classes."""
+    m = C.length
     classes = np.zeros(m + 1, dtype=np.int64)
-    # one representative per scalar class: first nonzero message entry = 1
-    for lead in range(k):
-        nfree = k - lead - 1
-        count = f.q**nfree
-        for start in range(0, count, _CHUNK):
-            idx = np.arange(start, min(start + _CHUNK, count))
-            cw = np.broadcast_to(G[lead], (len(idx), m)).copy()
-            if nfree:
-                digs = _digits(idx, f.q, nfree)
-                for t in range(nfree):
-                    col = digs[:, t]
-                    cw = f.add_arr(cw, f.mul_arr(col[:, None], G[lead + 1 + t][None, :]))
-            classes += np.bincount((cw != 0).sum(axis=1), minlength=m + 1)
-    return [1] + [(f.q - 1) * int(c) for c in classes[1:]]
+    for lead in range(C.dimension):
+        for nonzero in _span_chunks(C, (lead,)):
+            weights = np.count_nonzero(nonzero[:, 0], axis=1)
+            classes += np.bincount(weights, minlength=m + 1)
+    return [1] + [(C.field.q - 1) * int(c) for c in classes[1:]]
 
 
 def macwilliams(B, k, q):
@@ -226,19 +232,6 @@ def min_distance(C, limit=None):
     return next(w for w in range(1, m + 1) if A[w])
 
 
-def _pivot_free_slots(pivots, k):
-    """Free coordinate slots (row, col) of an RREF pattern, column-major."""
-    pset = set(pivots)
-    slots = []
-    for col in range(k):
-        if col in pset:
-            continue
-        for row, p in enumerate(pivots):
-            if p < col:
-                slots.append((row, col))
-    return slots
-
-
 def ghw(C, r, limit=None):
     """Exact r-th generalized Hamming weight by RREF subspace enumeration."""
     limit = limit if limit is not None else enumeration_budget(DEFAULT_SUBSPACE_BUDGET)
@@ -251,26 +244,11 @@ def ghw(C, r, limit=None):
         raise BudgetExceeded(
             f"{total} subspaces exceed budget {limit}", required=total, budget=limit
         )
-    G = C.basis
     best = m
     for pivots in itertools.combinations(range(k), r):
-        slots = _pivot_free_slots(pivots, k)
-        nfree = len(slots)
-        count = f.q**nfree
-        for start in range(0, count, _CHUNK):
-            idx = np.arange(start, min(start + _CHUNK, count))
-            n = len(idx)
-            cw = np.empty((n, r, m), dtype=np.int64)
-            for i, p in enumerate(pivots):
-                cw[:, i, :] = G[p]
-            if nfree:
-                digs = _digits(idx, f.q, nfree)
-                for t, (row, col) in enumerate(slots):
-                    cw[:, row, :] = f.add_arr(
-                        cw[:, row, :], f.mul_arr(digs[:, t][:, None], G[col][None, :])
-                    )
-            support = (cw != 0).any(axis=1).sum(axis=1)
-            best = min(best, int(support.min()))
+        for nonzero in _span_chunks(C, pivots):
+            supports = np.count_nonzero(nonzero.any(axis=1), axis=1)
+            best = min(best, int(supports.min()))
             if best == r:
                 return r
     return best

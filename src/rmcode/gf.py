@@ -28,7 +28,8 @@ from .errors import (
 TABLE_LIMIT = 1024
 
 # Every characteristic p is below this bound, so the product of two element
-# codes stays below 2**62 and the int64 arithmetic `(a * b) % p` is exact.
+# codes stays below 2**62 and the int64 arithmetic `(a * b) % p` is exact;
+# `Field.matmul` relies on it for its sums of such products.
 PRIME_LIMIT = 2**31
 
 # Canonical monic moduli for the small extension fields used throughout
@@ -333,16 +334,27 @@ class Field:
             return (a * b) % self.p
         return self._mul_t[a, b]
 
-    def sum_arr(self, a, axis=-1):
-        """The field sum along an axis.  Addition acts digit by digit on
-        codes, so each base-p digit is summed mod p."""
-        a = np.asarray(a)
+    def matmul(self, a, b):
+        """The exact field product a @ b of an (n, l) and an (l, c) matrix.
+
+        Over F_p a product of two codes is below (p-1)**2 < 2**62, so
+        int64 sums of up to (2**63 - 1) // (p-1)**2 of them are exact: the
+        inner index runs in blocks of that length, each reduced mod p.
+        p < PRIME_LIMIT keeps a block at 2 terms or more.  Over F_{p^k}
+        each inner index adds one table product.
+        """
+        a, b = self.arr(a), self.arr(b)
+        out = a[:, :0] @ b[:0]
         if self.k == 1:
-            return a.sum(axis=axis) % self.p
-        weights = self.p ** np.arange(self.k)
-        return sum(
-            (a // w % self.p).sum(axis=axis) % self.p * w for w in weights.tolist()
-        )
+            p = self.p
+            block = (2**63 - 1) // (p - 1) ** 2
+            for i in range(0, a.shape[1], block):
+                out = (out + (a[:, i : i + block] @ b[i : i + block]) % p) % p
+            return out
+        for i in range(a.shape[1]):
+            prod = self._mul_t[a[:, i, None], b[i]]
+            out = self._add_t[out, prod] if i else prod
+        return out
 
     def pow_arr(self, a, e):
         out = np.ones_like(np.asarray(a))

@@ -8,13 +8,12 @@ import heapq
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
 from . import linalg
 from .errors import DimensionTooLarge, RingMismatch, Unsupported
 from .polyring import (
     Poly,
     TermOrder,
+    coefficient_matrix,
     monomial_coprime,
     monomial_div,
     monomial_divides,
@@ -312,48 +311,28 @@ def monomial_dim_degree(L, s=None):
 # -- minimal number of generators ------------------------------------------------
 
 
-def minimal_generator_count(gb, r0, points=None):
-    """Number of minimal homogeneous generators of the ideal, by linear
-    algebra on monomial bases in degrees <= r0 + 1.
+def minimal_generator_count(gb, r0):
+    """Number of minimal homogeneous generators of the ideal of the
+    certified basis ``gb``, by linear algebra in degrees <= r0 + 1.
 
-    When evaluation context is available (points), every spanning product is
-    asserted to vanish on it.
+    The products g*w of the generators with the monomials w span I_d, and
+    the standard monomials of degree d are a basis of S_d/I_d, so
+    dim I_d = C(d+s-1, s-1) - |standard monomials of degree d|.  The
+    minimal generators of degree d number dim I_d minus the rank of the
+    products with deg w >= 1.
     """
     fld = gb.field
     nv = gb.nvars
+    layers = standard_monomials_upto(gb, nv, r0 + 1)
     total = 0
-
-    def vector(poly, index):
-        row = np.zeros(len(index), dtype=np.int64)
-        for u, c in poly.terms.items():
-            row[index[u]] = c
-        return row
-
     for d in range(1, r0 + 2):
         monos = list(monomials_of_degree(nv, d))
-        index = {u: i for i, u in enumerate(monos)}
-        products = []
         via_lower = []
         for g in gb.gens:
             dg = g.homogeneous_degree()
-            if dg is None or dg > d:
-                continue
-            for w in monomials_of_degree(nv, d - dg):
-                p = g.mul_term(w)
-                products.append(p)
-                if sum(w) >= 1:
-                    via_lower.append(p)
-        if points is not None:
-            for p in products:
-                assert all(p.evaluate(list(pt)) == 0 for pt in points)
-        if not products:
-            continue
-        rows = np.stack([vector(p, index) for p in products])
-        dim_full = linalg.rank(fld, rows)
+            if dg < d:
+                via_lower += [g.mul_term(w) for w in monomials_of_degree(nv, d - dg)]
+        total += len(monos) - len(layers[d])
         if via_lower:
-            rows_lower = np.stack([vector(p, index) for p in via_lower])
-            dim_lower = linalg.rank(fld, rows_lower)
-        else:
-            dim_lower = 0
-        total += dim_full - dim_lower
+            total -= linalg.rank(fld, coefficient_matrix(via_lower, monos))
     return total

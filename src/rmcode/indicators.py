@@ -109,19 +109,17 @@ def standard_indicators(A):
         )
 
     order = gb.order
-    values = []
-    for i in range(m):
-        fs[i] = fs[i].monic(order)
-        vec = X.eval_poly(fs[i])
-        if any(vec[j] != 0 for j in range(m) if j != i) or vec[i] == 0:
-            raise InternalInconsistency("indicator vanishing pattern violated")
-        values.append(int(vec[i]))
+    fs = [g.monic(order) for g in fs]
+    vals = X.eval_polys(fs)
+    values = np.diagonal(vals)
+    if np.any(vals != np.diag(values)) or not np.all(values):
+        raise InternalInconsistency("indicator vanishing pattern violated")
 
     support = set(fs[0].terms)
     for g in fs[1:]:
         support &= set(g.terms)
     essential = order.sorted_desc(support)
-    return IndicatorSet(fs, values, degrees, essential, r0)
+    return IndicatorSet(fs, values.tolist(), degrees, essential, r0)
 
 
 def colon_witness(A, i):
@@ -132,7 +130,7 @@ def colon_witness(A, i):
     f = X.field
     fi = isx.fs[i]
     vi = isx.degrees[i]
-    vec = X.eval_poly(fi)
+    vec = X.eval_polys([fi])[0]
     assert vec[i] != 0 and all(vec[j] == 0 for j in range(X.m) if j != i)
     if vi > 0:
         monos = standard_monomials_upto(A.gb, X.s, vi - 1)[vi - 1]

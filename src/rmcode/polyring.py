@@ -10,6 +10,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .errors import DimensionMismatch, ParseError, RingMismatch
 
 # -- monomials ----------------------------------------------------------------
@@ -34,6 +36,17 @@ def monomial_coprime(u, v):
 
 def monomial_support(u):
     return tuple(i for i, e in enumerate(u) if e)
+
+
+def coefficient_matrix(polys, monos):
+    """The (len(polys), len(monos)) matrix of coefficient codes of the
+    polynomials over the monomials ``monos``, which include every term."""
+    index = {u: i for i, u in enumerate(monos)}
+    out = np.zeros((len(polys), len(monos)), dtype=np.int64)
+    for row, g in zip(out, polys):
+        for u, c in g.terms.items():
+            row[index[u]] = c
+    return out
 
 
 def monomials_of_degree(s, d):
@@ -301,19 +314,14 @@ class Poly:
 
     # text form
 
-    def to_str(self, order=GREVLEX, var_names=None):
+    def to_str(self, order=GREVLEX):
         if not self.terms:
             return "0"
         f = self.field
-        names = var_names or [f"t{i + 1}" for i in range(self.nvars)]
         parts = []
         for u in order.sorted_desc(self.terms):
             c = self.terms[u]
-            mono = "*".join(
-                names[i] if e == 1 else f"{names[i]}^{e}"
-                for i, e in enumerate(u)
-                if e
-            )
+            mono = format_monomial(u) if sum(u) else ""
             cs = f.format_element(c, signed=True)
             neg = cs.startswith("-")
             if neg:
@@ -337,7 +345,7 @@ class Poly:
 _VARTOK = re.compile(r"(t(\d+)|u)(?:\^(\d+))?")
 
 
-def parse_poly(field, nvars, text, var_names=None):
+def parse_poly(field, nvars, text):
     """Parse the polynomial grammar: +/- separated terms `c*t1^e1*...*ts^es`.
 
     The homogenizing variable `u` is accepted as an alias for the last
@@ -371,10 +379,6 @@ def parse_poly(field, nvars, text, var_names=None):
     if not terms:
         raise ParseError(f"no terms in {text!r}")
 
-    name_index = None
-    if var_names:
-        name_index = {n: i for i, n in enumerate(var_names)}
-
     out = Poly.zero(field, nvars)
     for sign, term in terms:
         coeff = 1
@@ -388,13 +392,8 @@ def parse_poly(field, nvars, text, var_names=None):
                 rest = rest[close + 1 :].lstrip("*")
                 continue
             m = _VARTOK.match(rest)
-            if m and (name_index is None or m.group(1) in name_index or m.group(1) == "u"):
-                if m.group(1) == "u":
-                    idx = nvars - 1
-                elif name_index is not None:
-                    idx = name_index[m.group(1)]
-                else:
-                    idx = int(m.group(2)) - 1
+            if m:
+                idx = nvars - 1 if m.group(1) == "u" else int(m.group(2)) - 1
                 if not 0 <= idx < nvars:
                     raise ParseError(f"variable {m.group(1)} out of range in {text!r}")
                 e = int(m.group(3)) if m.group(3) else 1
@@ -414,10 +413,9 @@ def parse_poly(field, nvars, text, var_names=None):
     return out
 
 
-def format_monomial(u, var_names=None):
-    names = var_names or [f"t{i + 1}" for i in range(len(u))]
+def format_monomial(u):
     body = "*".join(
-        names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(u) if e
+        f"t{i + 1}" if e == 1 else f"t{i + 1}^{e}" for i, e in enumerate(u) if e
     )
     return body or "1"
 

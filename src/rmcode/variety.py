@@ -33,6 +33,7 @@ from .polyring import (
     GREVLEX,
     Poly,
     TermOrder,
+    coefficient_matrix,
     monomial_coprime,
     monomial_divides,
     monomial_lcm,
@@ -112,13 +113,13 @@ class PointSet:
             rows = f.mul_arr(rows, np.array(pows)[E[:, j]])
         return rows
 
-    def eval_poly(self, poly):
-        """Vector (f(P_1), ..., f(P_m)) of codes."""
-        f = self.field
-        out = np.zeros(self.m, dtype=np.int64)
-        for c, row in zip(poly.terms.values(), self.eval_monomials(list(poly.terms))):
-            out = f.add_arr(out, f.mul_arr(c, row))
-        return out
+    def eval_polys(self, polys):
+        """The (len(polys), m) matrix of values f(P_j): one product of the
+        polynomials' coefficient matrix with the evaluations of the
+        monomials they use."""
+        monos = sorted({u for g in polys for u in g.terms})
+        coeffs = coefficient_matrix(polys, monos)
+        return self.field.matmul(coeffs, self.eval_monomials(monos))
 
     def __repr__(self):
         return f"PointSet(q={self.field.q}, s={self.s}, m={self.m})"
@@ -354,10 +355,8 @@ def vanishing_ideal(X, order=GREVLEX):
     gb = GroebnerBasis(order, gens)
     if not gb_certify(gb):
         raise CertificationFailed("the interpolated basis failed certification")
-    # every generator must vanish on X
-    for g in gens:
-        if np.any(X.eval_poly(g)):
-            raise InternalInconsistency("basis element does not vanish on X")
+    if np.any(X.eval_polys(gens)):
+        raise InternalInconsistency("basis element does not vanish on X")
     return GroebnerBasis(order, gens, certified=True)
 
 

@@ -5,7 +5,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from rmcode import linalg
+from rmcode import codes, linalg
+from rmcode.analysis import Analysis
 from rmcode.codes import (
     LinearCode,
     code_of_degree,
@@ -23,6 +24,7 @@ from rmcode.codes import (
     weight_distribution,
     weight_matrix,
 )
+from rmcode.duality import self_orthogonal
 from rmcode.errors import BudgetExceeded, InternalInconsistency
 from rmcode.gf import Field
 from rmcode.golden import CORPUS, load_entry
@@ -118,6 +120,67 @@ def test_scalar_class_enumeration_oracle(F3, F4):
                 dist[int((cw != 0).sum())] += 1
             assert weight_distribution(C) == dist
             assert min_distance(C) == _minimum(dist)
+
+
+def _message_digits(q, n):
+    """Every message of n digits base q, digit t of message i in column t."""
+    return np.arange(q**n)[:, None] // q ** np.arange(n) % q
+
+
+def _weight_distribution_per_digit(C):
+    """Oracle: the scalar-class sweep adding one digit's row at a time."""
+    f, G = C.field, C.basis
+    k, m = C.dimension, C.length
+    classes = np.zeros(m + 1, dtype=np.int64)
+    for lead in range(k):
+        digs = _message_digits(f.q, k - lead - 1)
+        cw = np.broadcast_to(G[lead], (len(digs), m)).copy()
+        for t in range(digs.shape[1]):
+            cw = f.add_arr(cw, f.mul_arr(digs[:, t][:, None], G[lead + 1 + t][None, :]))
+        classes += np.bincount((cw != 0).sum(axis=1), minlength=m + 1)
+    return [1] + [(f.q - 1) * int(c) for c in classes[1:]]
+
+
+def _ghw_per_slot(C, r):
+    """Oracle: the RREF subspace sweep adding one free slot at a time."""
+    f, G = C.field, C.basis
+    k, m = C.dimension, C.length
+    best = m
+    for pivots in itertools.combinations(range(k), r):
+        slots = [
+            (row, col)
+            for col in range(k)
+            if col not in pivots
+            for row, p in enumerate(pivots)
+            if p < col
+        ]
+        digs = _message_digits(f.q, len(slots))
+        cw = np.empty((len(digs), r, m), dtype=np.int64)
+        for i, p in enumerate(pivots):
+            cw[:, i, :] = G[p]
+        for t, (row, col) in enumerate(slots):
+            cw[:, row, :] = f.add_arr(
+                cw[:, row, :], f.mul_arr(digs[:, t][:, None], G[col][None, :])
+            )
+        best = min(best, int((cw != 0).any(axis=1).sum(axis=1).min()))
+    return best
+
+
+@pytest.mark.parametrize("chunk", [codes._CHUNK, 5])
+def test_span_sweeps_match_the_per_digit_oracles(monkeypatch, chunk):
+    """weight_distribution and ghw for r = 1..k equal the per-digit and
+    per-slot sweeps on random codes over prime and extension fields, in
+    one chunk and in chunks of 5 generators."""
+    monkeypatch.setattr(codes, "_CHUNK", chunk)
+    rng = random.Random(8080)
+    fields = [Field(2), Field(3), Field(5), Field(7), Field(2, 2), Field(2, 3), Field(3, 2)]
+    for trial in range(42):
+        F = fields[trial % len(fields)]
+        m = rng.randint(2, 8)
+        C = _random_code(rng, F, rng.randint(1, min(m, 4 if F.q < 7 else 3)), m)
+        assert weight_distribution(C) == _weight_distribution_per_digit(C)
+        for r in range(1, C.dimension + 1):
+            assert ghw(C, r) == _ghw_per_slot(C, r)
 
 
 def test_budget_exceeded(F3):
@@ -476,14 +539,6 @@ def _row_space_contains(field, a, rows):
     return linalg.rank(field, stacked) == Ra.shape[0]
 
 
-def _combine(F, rows, coeffs):
-    """The combination sum coeffs[i] * rows[i]."""
-    out = np.zeros(rows.shape[1], dtype=np.int64)
-    for c, row in zip(coeffs, rows):
-        out = F.add_arr(out, F.mul_arr(c, row))
-    return out
-
-
 RANDOM_CODE_FIELDS = [Field(2), Field(3), Field(5), Field(2, 2), Field(3, 2), Field(2, 3)]
 
 
@@ -498,26 +553,34 @@ def test_dual_from_the_rref_matches_the_nullspace_oracle():
         assert dual_code(C) == LinearCode(F, m, linalg.nullspace(F, C.basis))
 
 
+def _self_orthogonal_by_elimination(F, C):
+    """Oracle: C lies in C^perp, the nullspace of its basis."""
+    return _row_space_contains(F, linalg.nullspace(F, C.basis), C.basis)
+
+
 def test_containment_and_scaling_match_the_elimination_oracles():
+    """G.G^T = 0 for the basis G of C exactly when C lies in C^perp, on
+    random codes and, through ``self_orthogonal``, on every golden C_X(d),
+    some of which are self-orthogonal."""
     rng = random.Random(4343)
     outcomes = set()
     for trial in range(120):
         F = RANDOM_CODE_FIELDS[trial % len(RANDOM_CODE_FIELDS)]
         m = rng.randint(1, 8)
         C = _random_code(rng, F, rng.randint(0, m), m)
-        # a subcode of C half the time, a random code otherwise
-        if trial % 2 and C.dimension:
-            msgs = [[rng.randrange(F.q) for _ in range(C.dimension)] for _ in range(2)]
-            D = LinearCode.from_rows(
-                F, [_combine(F, C.basis, row) for row in msgs], length=m
-            )
-        else:
-            D = _random_code(rng, F, rng.randint(0, m), m)
-        for a, b in ((C, D), (D, C)):
-            want = b.dimension == 0 or _row_space_contains(F, a.basis, b.basis)
-            assert a.contains_code(b) == want
-            outcomes.add(want)
+        want = _self_orthogonal_by_elimination(F, C)
+        assert (not np.any(F.matmul(C.basis, C.basis.T))) == want
+        outcomes.add(want)
         beta = [rng.randrange(1, F.q) for _ in range(m)]
         want = LinearCode.from_rows(F, F.mul_arr(C.basis, F.arr(beta)[None, :]), length=m)
         assert C.scaled(beta) == want
+    assert outcomes == {True, False}
+    outcomes = set()
+    for name in CORPUS:
+        X, order = points_parse(load_entry(name)[0])
+        A = Analysis(X, order or GREVLEX)
+        for d in range(A.hd.r0 + 1):
+            want = _self_orthogonal_by_elimination(X.field, A.code(d))
+            assert self_orthogonal(A, d) == want
+            outcomes.add(want)
     assert outcomes == {True, False}

@@ -277,3 +277,40 @@ def test_largest_table_field_builds_fast():
     assert time.perf_counter() - t0 < 3.0
     assert F.q == 1024 and F._order_of(F.generator) == 1023
     assert F.mul(F.generator, F.inv(F.generator)) == 1
+
+
+def _matmul_by_scalars(F, a, b):
+    """Oracle: a @ b over F by the scalar triple loop."""
+    n, inner = a.shape
+    out = np.zeros((n, b.shape[1]), dtype=np.int64)
+    for i in range(n):
+        for j in range(b.shape[1]):
+            acc = 0
+            for t in range(inner):
+                acc = F.add(acc, F.mul(int(a[i, t]), int(b[t, j])))
+            out[i, j] = acc
+    return out
+
+
+MATMUL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4),
+                 (2**31 - 1, 1)]
+
+
+@pytest.mark.parametrize("p,k", MATMUL_FIELDS)
+def test_matmul_matches_the_scalar_triple_loop(p, k):
+    F = Field(p, k)
+    rng = np.random.default_rng(F.q % 1009)
+
+    def codes(shape):
+        # half of the entries among the top 1000 codes: near p = 2**31 a sum
+        # of three such products overflows int64 without the block bound
+        top = rng.integers(max(0, F.q - 1000), F.q, size=shape)
+        return np.where(rng.random(shape) < 0.5, top, rng.integers(0, F.q, size=shape))
+
+    for inner in (0, 1, 2, 3, 50):
+        a, b = codes((4, inner)), codes((inner, 3))
+        got = F.matmul(a, b)
+        assert got.shape == (4, 3) and got.dtype == np.int64
+        assert np.array_equal(got, _matmul_by_scalars(F, a, b))
+        top = np.full((2, inner), F.q - 1)
+        assert np.array_equal(F.matmul(top, top.T), _matmul_by_scalars(F, top, top.T))

@@ -4,7 +4,11 @@ import random
 import numpy as np
 import pytest
 
+from rmcode import linalg
+from rmcode.analysis import Analysis
 from rmcode.errors import DimensionTooLarge, Unsupported
+from rmcode.gf import Field
+from rmcode.golden import CORPUS, load_entry
 from rmcode.groebner import (
     GroebnerBasis,
     MonomialIdeal,
@@ -16,7 +20,15 @@ from rmcode.groebner import (
     normal_form,
     standard_monomials_upto,
 )
-from rmcode.polyring import GREVLEX, Poly, parse_monomial, parse_poly
+from rmcode.polyring import (
+    GREVLEX,
+    Poly,
+    TermOrder,
+    monomials_of_degree,
+    parse_monomial,
+    parse_poly,
+)
+from rmcode.variety import PointSet, points_full_projective, points_parse
 
 
 def test_buchberger_quartic_completion(F4):
@@ -131,15 +143,73 @@ def test_membership_oracle_equivalence(nine_points, F3):
             f = Poly(F3, 3, {u: rng.randrange(3) for u in rng.sample(monos, 4)})
             if f.is_zero():
                 continue
-            vanishes = not np.any(X.eval_poly(f))
+            vanishes = not np.any(X.eval_polys([f]))
             assert normal_form(f, gb).is_zero() == vanishes
 
 
 def test_minimal_generator_counts(five_points_frame, nine_points, four_points):
     X, gb, hd = five_points_frame.X, five_points_frame.gb, five_points_frame.hd
-    assert minimal_generator_count(gb, hd.r0, points=X.coords) == 5  # not CI
+    # the products g*w that span the ideal in degrees <= r0 + 1 vanish on X
+    products = [
+        g.mul_term(w)
+        for d in range(1, hd.r0 + 2)
+        for g in gb.gens
+        if g.homogeneous_degree() <= d
+        for w in monomials_of_degree(X.s, d - g.homogeneous_degree())
+    ]
+    assert products and not np.any(X.eval_polys(products))
+    assert minimal_generator_count(gb, hd.r0) == 5  # not CI
     assert minimal_generator_count(nine_points.gb, nine_points.hd.r0) == 2  # CI: s - 1 = 2
     assert minimal_generator_count(four_points.gb, four_points.hd.r0) == 3  # CI in s = 4
+
+
+def _minimal_generator_count_two_ranks(gb, r0):
+    """Oracle: per degree, the rank of all products g*w of the generators
+    with monomials minus the rank of those with deg w >= 1."""
+    fld, nv = gb.field, gb.nvars
+    total = 0
+    for d in range(1, r0 + 2):
+        index = {u: i for i, u in enumerate(monomials_of_degree(nv, d))}
+        products, via_lower = [], []
+        for g in gb.gens:
+            dg = g.homogeneous_degree()
+            if dg > d:
+                continue
+            for w in monomials_of_degree(nv, d - dg):
+                row = np.zeros(len(index), dtype=np.int64)
+                for u, c in g.mul_term(w).terms.items():
+                    row[index[u]] = c
+                products.append(row)
+                if sum(w) >= 1:
+                    via_lower.append(row)
+        if products:
+            total += linalg.rank(fld, np.stack(products))
+        if via_lower:
+            total -= linalg.rank(fld, np.stack(via_lower))
+    return total
+
+
+def test_minimal_generator_count_matches_the_two_rank_oracle():
+    """The staircase count of dim I_d plus one rank per degree equals two
+    ranks per degree on the golden corpus under grevlex and glex and on
+    seeded random sets over prime and extension fields."""
+    orders = (GREVLEX, TermOrder("glex"))
+    cases = []
+    for name in CORPUS:
+        X, _ = points_parse(load_entry(name)[0])
+        cases += [(X, order) for order in orders]
+    rng = random.Random(6060)
+    fields = [Field(2), Field(3), Field(5), Field(7), Field(2, 2), Field(3, 2), Field(2, 3)]
+    for trial in range(24):
+        f = fields[trial % len(fields)]
+        s = rng.choice([2, 3, 4])
+        points = points_full_projective(s, f).coords.tolist()
+        rows = rng.sample(points, rng.randint(2, min(12, len(points))))
+        cases.append((PointSet(f, rows), orders[trial % 2]))
+    for X, order in cases:
+        A = Analysis(X, order)
+        want = _minimal_generator_count_two_ranks(A.gb, A.hd.r0)
+        assert minimal_generator_count(A.gb, A.hd.r0) == want
 
 
 def test_monomial_ideal_guard():

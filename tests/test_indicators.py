@@ -5,6 +5,7 @@ import pytest
 
 from rmcode import indicators, linalg
 from rmcode.analysis import Analysis
+from rmcode.errors import InternalInconsistency
 from rmcode.gf import Field
 from rmcode.golden import CORPUS, load_entry
 from rmcode.indicators import colon_witness
@@ -86,8 +87,8 @@ def test_padded_indicator_vectors_span(ten_points):
         shift = tuple(
             (hd.r0 - vi) if t == j else 0 for t in range(X.s)
         )
-        rows.append(X.eval_poly(fi.mul_term(shift)))
-    assert linalg.rank(f, np.stack(rows)) == X.m
+        rows.append(fi.mul_term(shift))
+    assert linalg.rank(f, X.eval_polys(rows)) == X.m
 
 
 def test_uniqueness_under_reversed_pivoting(nine_points, F3):
@@ -135,7 +136,7 @@ def _oracle_indicators(X, gb, r0):
                 fs[i] = Poly(f, X.s, {u: int(c) for u, c in zip(monos, x) if c})
                 degrees[i] = d
     fs = [fi.monic(gb.order) for fi in fs]
-    values = [int(X.eval_poly(fi)[i]) for i, fi in enumerate(fs)]
+    values = np.diagonal(X.eval_polys(fs)).tolist()
     support = set.intersection(*(set(fi.terms) for fi in fs))
     return fs, values, degrees, gb.order.sorted_desc(support)
 
@@ -191,3 +192,18 @@ def test_indicators_solve_only_at_degrees_with_new_indicators(
         isx = indicators.standard_indicators(A)
         monkeypatch.undo()
         assert len(calls) == len(set(isx.degrees)) < A.hd.r0 + 1
+
+
+def test_vanishing_pattern_trap_catches_a_wrong_indicator(nine_points, monkeypatch):
+    """An indicator that is also nonzero at another point trips the
+    vanishing-pattern trap, checked by one product for all indicators."""
+    solve = indicators._solve_indicators
+
+    def corrupted(field, M, new):
+        sols = solve(field, M, new)
+        sols[0] = field.add_arr(sols[0], sols[1])
+        return sols
+
+    monkeypatch.setattr(indicators, "_solve_indicators", corrupted)
+    with pytest.raises(InternalInconsistency, match="vanishing pattern"):
+        indicators.standard_indicators(Analysis(nine_points.X))

@@ -2,8 +2,6 @@
 
 import random
 
-import numpy as np
-
 from rmcode.analysis import Analysis
 from rmcode.codes import code_of_degree, min_distance
 from rmcode.errors import BudgetExceeded
@@ -86,7 +84,7 @@ def test_indicator_uniqueness_and_span_random():
         hd = hilbert_data(gb, X.m, nvars=s)
         isx = standard_indicators(Analysis(X))
         assert max(isx.degrees) == hd.r0
-        vecs = np.stack([X.eval_poly(fi) for fi in isx.fs])
+        vecs = X.eval_polys(isx.fs)
         # the indicator matrix is diagonal with nonzero diagonal
         for i in range(m):
             assert vecs[i][i] != 0

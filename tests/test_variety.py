@@ -183,8 +183,9 @@ def test_point_prime_generators_reduce_consistently(nine_points, F3):
                 if lin.is_zero():
                     continue
                 r = normal_form(lin, gb)
-                assert np.array_equal(X.eval_poly(r), X.eval_poly(lin))
-                assert X.eval_poly(r)[i] == 0
+                vals = X.eval_polys([r, lin])
+                assert np.array_equal(vals[0], vals[1])
+                assert vals[0, i] == 0
 
 
 def test_points_file_roundtrip(F9):
@@ -330,10 +331,19 @@ def test_vanishing_ideal_runs_past_a_degree_without_generators(F9):
     assert _assert_same_ideal(X, order)
 
 
+def _eval_poly(X, poly):
+    """Oracle: (f(P_1), ..., f(P_m)), one term at a time."""
+    f = X.field
+    out = np.zeros(X.m, dtype=np.int64)
+    for c, row in zip(poly.terms.values(), X.eval_monomials(list(poly.terms))):
+        out = f.add_arr(out, f.mul_arr(c, row))
+    return out
+
+
 def test_evaluation_matches_pointwise_evaluation():
     """The vectorized evaluation matrix and polynomial values equal
-    Poly.evaluate at each point, over prime and extension fields; no
-    monomial gives no row."""
+    Poly.evaluate at each point and the term-by-term oracle, over prime and
+    extension fields; no monomial gives no row, no polynomial no row."""
     rng = random.Random(77)
     for f in (Field(2), Field(5), Field(2, 3), Field(3, 2), Field(2**31 - 1)):
         for s in (2, 3):
@@ -345,6 +355,12 @@ def test_evaluation_matches_pointwise_evaluation():
             ]
             assert X.eval_monomials(monos).tolist() == want
             assert X.eval_monomials([]).shape == (0, X.m)
-            g = Poly(f, s, {u: rng.randrange(f.q) for u in monos if rng.random() < 0.3})
+            polys = [
+                Poly(f, s, {u: rng.randrange(f.q) for u in monos if rng.random() < 0.3})
+                for _ in range(4)
+            ] + [Poly.zero(f, s)]
             points = [[int(x) for x in pt] for pt in X.coords]
-            assert X.eval_poly(g).tolist() == [g.evaluate(pt) for pt in points]
+            vals = X.eval_polys(polys)
+            assert vals.tolist() == [[g.evaluate(pt) for pt in points] for g in polys]
+            assert vals.tolist() == [_eval_poly(X, g).tolist() for g in polys]
+            assert X.eval_polys([]).shape == (0, X.m)
