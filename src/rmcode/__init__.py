@@ -8,12 +8,9 @@ from .gf import Field
 from .polyring import GREVLEX, Poly, TermOrder, parse_poly
 from .groebner import (
     GroebnerBasis,
-    MonomialIdeal,
     buchberger,
     gb_certify,
     minimal_generator_count,
-    monomial_colon,
-    monomial_dim_degree,
     normal_form,
     standard_monomials_upto,
 )
@@ -35,7 +32,6 @@ from .codes import (
     WeightMatrix,
     code_of_degree,
     dual_code,
-    footprint,
     ghw,
     min_distance,
     monomially_equivalent,

@@ -1,5 +1,6 @@
 """Evaluation codes, duals, weight distributions, minimum distance,
-generalized Hamming weights, footprint values, and the weight-matrix resolver.
+generalized Hamming weights, the footprint matrix, and the weight-matrix
+resolver.
 
 Enumeration kernels run batched on numpy arrays of field codes so that exact
 brute force stays fast enough for the documented budgets.
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BudgetExceeded, InternalInconsistency, InvalidParams
-from .groebner import monomial_colon, monomial_dim_degree, standard_monomials_upto
+from .groebner import standard_monomials_upto
 from .polyring import monomial_divides
 
 DEFAULT_CODEWORD_BUDGET = 10**7
@@ -112,9 +113,6 @@ def code_of_degree(X, gb, d):
 def dual_code(C):
     """C^perp as an RREF nullspace basis, read off the RREF basis of C."""
     f = C.field
-    if C.dimension == 0:
-        eye = np.eye(C.length, dtype=np.int64)
-        return LinearCode(f, C.length, eye, provenance=("dual",) + C.provenance)
     N = linalg.rref_nullspace(f, C.basis, C.pivots)
     return LinearCode(f, C.length, N, provenance=("dual",) + C.provenance)
 
@@ -279,62 +277,60 @@ def ghw_hierarchy_via_dual(C):
 # -- footprint -------------------------------------------------------------------
 
 
-def footprint(gb, d, r, nvars=None, degree=None):
-    """fp(d, r) = deg(S/I) - max over r-subsets F of the degree-d standard
-    monomials of: deg(S/(in(I)+(F))) when (in(I) : F) != in(I), else 0."""
-    init = gb.initial_ideal()
-    if degree is None:
-        _, degree = monomial_dim_degree(init)
-    monos = standard_monomials_upto(gb, nvars or gb.nvars, d)[d]
-    if not 1 <= r <= len(monos):
-        raise ValueError(f"r must be in 1..{len(monos)}")
-    best = 0
-    for F in itertools.combinations(monos, r):
-        if monomial_colon(init, list(F)) == init:
-            contrib = 0
-        else:
-            _, degF = monomial_dim_degree(init.plus(F))
-            contrib = degF
-        best = max(best, contrib)
-    return degree - best
-
-
 def footprint_matrix(X, gb, r0, budget=None):
     """Every fp(d, r) for 1 <= d <= r0, 1 <= r <= H(d), as rows[d-1][r-1],
     with None where the comb(H(d), r) r-subsets exceed the budget.
 
-    The values equal ``footprint``'s.  S/in(I) has dimension 1, so
-    deg S/(in(I)+(F)) is the stable count of standard monomials of a high
-    degree D that no f in F divides.  Each degree-d standard monomial becomes
-    the bitmask of the degree-D standard monomials it divides, and an
-    r-subset costs r ORs and a popcount.
+    fp(d, r) = deg(S/I) - max over r-subsets F of the degree-d standard
+    monomials of: deg(S/(in(I)+(F))) when (in(I) : F) != in(I), else 0.
+    Every term is read off the staircase of in(I): each degree-d standard
+    monomial becomes the bitmask of the degree-D standard monomials that it
+    divides (and, for an unsaturated in(I), of those of degree <= D), and an
+    r-subset costs r ORs and a popcount, or twice that.
     """
     budget = budget if budget is not None else enumeration_budget(DEFAULT_SUBSPACE_BUDGET)
     s, m = X.s, X.m
-    init = gb.initial_ideal()
+    leads = gb.leading_monomials()
     # S/L with dim S/L <= 1 has a constant Hilbert function from degree
     # sum_i a_i - s + 1 on, a_i the top exponent of x_i in L's generators;
     # every L = in(I)+(F) with F in degrees <= r0 has a_i <= max(a_i(in(I)), r0)
-    D = sum(max([r0] + [g[i] for g in init.gens]) for i in range(s))
+    D = sum(max([r0] + [g[i] for g in leads]) for i in range(s))
     monos = standard_monomials_upto(gb, s, D + 1)
-    top, layer = monos[D], monos[D + 1]
-    if not len(top) == len(layer) == m:
+    if not len(monos[D]) == len(monos[D + 1]) == m:
         raise InternalInconsistency(
             f"standard monomials of degrees {D}, {D + 1}: "
-            f"{len(top)}, {len(layer)}, expected deg(S/in(I)) = {m}"
+            f"{len(monos[D])}, {len(monos[D + 1])}, expected deg(S/in(I)) = {m}"
         )
-    # saturated in(I) has only minimal associated primes: a trivial colon
-    # (in(I) : F) = in(I) then means a stable count of 0, and the count is
-    # the contribution; otherwise a count of 0 takes the exact rule below
-    unit = [tuple(int(i == j) for j in range(s)) for i in range(s)]
-    saturated = monomial_colon(init, unit) == init
+    # With L = in(I) and B the standard monomials of degree <= D, the term
+    # of an r-subset F is:
+    # - m - |covered_D| when a degree-D monomial is left uncovered: L+F has
+    #   dimension 1, so F lies in a minimal prime of L, the colon is not
+    #   trivial and the stable count is the degree;
+    # - 0 when all are covered and L is saturated: F then avoids every
+    #   associated prime, all of them minimal, so (L : F) = L;
+    # - |B| - |covered| when all are covered and L is not saturated: the
+    #   maximal ideal is associated, so some standard w has F*w in L and the
+    #   colon is never trivial.  Each standard monomial u of L+F has
+    #   u_i < max(a_i, r0), so deg u <= D - s, and the count is the length
+    #   of S/(L+F).
+    # L is unsaturated iff some standard w has every t_i*w in L; capping w's
+    # exponents at the a_i keeps both properties, so such a w exists in B if
+    # at all, and one pass over B decides it.  Only then are masks over all
+    # of B built, so a saturated L costs r ORs and one popcount per subset.
+    below = set(itertools.chain(*monos))
+    B = list(itertools.chain(*monos[: D + 1]))
+    saturated = all(
+        any(u[:i] + (u[i] + 1,) + u[i + 1 :] in below for i in range(s)) for u in B
+    )
+
+    def masks(fs, over):
+        return [sum(1 << j for j, u in enumerate(over) if monomial_divides(f, u)) for f in fs]
 
     rows = []
     for d in range(1, r0 + 1):
         fs = monos[d]
-        masks = [
-            sum(1 << j for j, u in enumerate(top) if monomial_divides(f, u)) for f in fs
-        ]
+        top = masks(fs, monos[D])
+        full = None if saturated else masks(fs, B)
         row = []
         for r in range(1, len(fs) + 1):
             if comb(len(fs), r) > budget:
@@ -344,12 +340,13 @@ def footprint_matrix(X, gb, r0, budget=None):
             for idx in itertools.combinations(range(len(fs)), r):
                 covered = 0
                 for i in idx:
-                    covered |= masks[i]
+                    covered |= top[i]
                 contrib = m - covered.bit_count()
-                if contrib == 0 and not saturated:
-                    F = [fs[i] for i in idx]
-                    if monomial_colon(init, F) != init:
-                        _, contrib = monomial_dim_degree(init.plus(F))
+                if not contrib and not saturated:
+                    covered = 0
+                    for i in idx:
+                        covered |= full[i]
+                    contrib = len(B) - covered.bit_count()
                 best = max(best, contrib)
             row.append(m - best)
         rows.append(row)
@@ -449,27 +446,21 @@ def weight_matrix(A, budget=None, fp=None):
     are enumerated in C_X(d), or, when its dual sweep is no larger, read off
     the whole hierarchy of C_X(d)^perp by Wei duality.  ``fp`` takes the
     rows of ``footprint_matrix`` under the same budget, computed here when
-    not given.  ``A`` is the ``Analysis`` of the point set.
+    not given; that call also traps deg(S/in(I)) != |X|.  ``A`` is the
+    ``Analysis`` of the point set.
     """
     budget = budget if budget is not None else enumeration_budget(DEFAULT_SUBSPACE_BUDGET)
-    X, gb, hd = A.X, A.gb, A.hd
+    X, hd = A.X, A.hd
     f = X.field
     m = X.m
     r0 = hd.r0
     v_sorted = A.isx.v_sorted  # v_sorted[r-1] = R_r
-    init = gb.initial_ideal()
-    _, deg_total = monomial_dim_degree(init)
-    if deg_total != m:
-        raise InternalInconsistency("deg(S/in(I)) must equal |X|")
-
     if fp is None:
-        fp = footprint_matrix(X, gb, r0, budget=budget)
-
-    cells = [[None] * m for _ in range(r0)]
+        fp = footprint_matrix(X, A.gb, r0, budget=budget)
     fpm = [row + [None] * (m - len(row)) for row in fp]
-    lo = [[1] * m for _ in range(r0)]
-    hi = [[m] * m for _ in range(r0)]
 
+    # one interval and one method per cell (d, r); "" marks an open cell
+    lo, hi, how = {}, {}, {}
     for d in range(1, r0 + 1):
         k = hd.value(d)
         C = A.code(d)
@@ -482,82 +473,68 @@ def weight_matrix(A, budget=None, fp=None):
         else:
             weights = {r: ghw(C, r, limit=budget) for r in swept}
         for r in range(1, m + 1):
-            if r > k:
-                cells[d - 1][r - 1] = Cell.infinity()
-                continue
             fp_val = fpm[d - 1][r - 1]
-            if r in weights:
+            if r > k:
+                how[d, r] = "infinity"
+            elif r in weights:
                 val = weights[r]
                 if fp_val is not None and val < fp_val:
                     raise InternalInconsistency(
                         f"footprint bound violated at (d={d}, r={r})"
                     )
-                cells[d - 1][r - 1] = Cell.exact(val, "brute")
-                continue
-            if d >= v_sorted[r - 1]:
-                cells[d - 1][r - 1] = Cell.exact(r, "regularity-pin")
-                continue
-            lo[d - 1][r - 1] = max(r, fp_val if fp_val is not None else r)
-            hi[d - 1][r - 1] = m - k + r  # generalized Singleton
+                lo[d, r] = hi[d, r] = val
+                how[d, r] = "brute"
+            elif d >= v_sorted[r - 1]:
+                lo[d, r] = hi[d, r] = r
+                how[d, r] = "regularity-pin"
+            else:
+                lo[d, r] = max(r, fp_val if fp_val is not None else r)
+                hi[d, r] = m - k + r  # generalized Singleton
+                how[d, r] = ""
 
-    # constraint propagation on the unresolved cells
-    changed = True
-    while changed:
-        changed = False
-        for d in range(1, r0 + 1):
-            for r in range(1, m + 1):
-                c = cells[d - 1][r - 1]
-                if c is not None and c.kind != "interval":
-                    continue
+    def interval(d, r):
+        """(lo, hi) of cell (d, r); None off the matrix or at infinity."""
+        if how.get((d, r), "infinity") == "infinity":
+            return None
+        return lo[d, r], hi[d, r]
 
-                def bounds(dd, rr):
-                    if not (1 <= dd <= r0 and 1 <= rr <= m):
-                        return None
-                    cc = cells[dd - 1][rr - 1]
-                    if cc is None:
-                        return lo[dd - 1][rr - 1], hi[dd - 1][rr - 1]
-                    if cc.kind == "exact":
-                        return cc.lo, cc.hi
-                    if cc.kind == "interval":
-                        return cc.lo, cc.hi
-                    return None
+    # tighten the open cells by the row and column rules until nothing moves
+    open_cells = [key for key, method in how.items() if not method]
+    moved = True
+    while moved:
+        moved = False
+        for d, r in open_cells:
+            L, U = lo[d, r], hi[d, r]
+            # strict row increase: delta(d, r-1) < delta(d, r) < delta(d, r+1)
+            b = interval(d, r - 1)
+            if b:
+                L = max(L, b[0] + 1)
+            b = interval(d, r + 1)
+            if b:
+                U = min(U, b[1] - 1)
+            # columns strictly decrease until they stabilize at r (the
+            # stabilization degree is the pinned r-th v-number)
+            b = interval(d + 1, r)
+            if b:
+                L = max(L, b[0] + 1 if d + 1 <= v_sorted[r - 1] else b[0])
+            b = interval(d - 1, r)
+            if b and d <= v_sorted[r - 1]:
+                U = min(U, b[1] - 1)
+            if L > U:
+                raise InternalInconsistency(f"bound contradiction at (d={d}, r={r})")
+            if (L, U) != (lo[d, r], hi[d, r]):
+                lo[d, r], hi[d, r] = L, U
+                moved = True
 
-                L, U = lo[d - 1][r - 1], hi[d - 1][r - 1]
-                if cells[d - 1][r - 1] is not None:
-                    L, U = cells[d - 1][r - 1].lo, cells[d - 1][r - 1].hi
-                # strict row increase: delta(d, r-1) < delta(d, r) < delta(d, r+1)
-                b = bounds(d, r - 1)
-                if b:
-                    L = max(L, b[0] + 1)
-                b = bounds(d, r + 1)
-                if b:
-                    U = min(U, b[1] - 1)
-                # columns strictly decrease until they stabilize at r (the
-                # stabilization degree is the pinned r-th v-number)
-                b = bounds(d + 1, r)
-                if b and d + 1 <= r0:
-                    L = max(L, b[0] + 1 if d + 1 <= v_sorted[r - 1] else b[0])
-                b = bounds(d - 1, r)
-                if b and d - 1 >= 1 and d <= v_sorted[r - 1]:
-                    U = min(U, b[1] - 1)
-                if L > U:
-                    raise InternalInconsistency(
-                        f"bound contradiction at (d={d}, r={r})"
-                    )
-                prev = cells[d - 1][r - 1]
-                if L == U:
-                    new = Cell.exact(L, "bounds")
-                else:
-                    new = Cell("interval", L, U)
-                if prev is None or (prev.lo, prev.hi, prev.kind) != (
-                    new.lo,
-                    new.hi,
-                    new.kind,
-                ):
-                    cells[d - 1][r - 1] = new
-                    lo[d - 1][r - 1], hi[d - 1][r - 1] = L, U
-                    changed = True
+    def cell(d, r):
+        method = how[d, r]
+        if method == "infinity":
+            return Cell.infinity()
+        if method or lo[d, r] == hi[d, r]:
+            return Cell.exact(lo[d, r], method or "bounds")
+        return Cell("interval", lo[d, r], hi[d, r])
 
+    cells = [[cell(d, r) for r in range(1, m + 1)] for d in range(1, r0 + 1)]
     return WeightMatrix(r0, m, tuple(hd.H), cells, fpm, budget)
 
 

@@ -33,10 +33,6 @@ class RingMismatch(RMCodeError):
     pass
 
 
-class DimensionTooLarge(RMCodeError):
-    pass
-
-
 class ZeroPoint(RMCodeError):
     pass
 

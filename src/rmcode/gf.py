@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     DivisionByZero,
     FieldMismatch,
+    InternalInconsistency,
     NoModulusAvailable,
     NonPrimeP,
     ParseError,
@@ -443,7 +444,8 @@ class Field:
             if acc == 0:
                 root = cand
                 break
-        assert root is not None, "modulus must split in the extension"
+        if root is None:
+            raise InternalInconsistency(f"the modulus of {self} has no root in {big}")
         table = np.zeros(self.q, dtype=np.int64)
         for code in range(self.q):
             img = 0

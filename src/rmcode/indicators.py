@@ -131,14 +131,15 @@ def colon_witness(A, i):
     fi = isx.fs[i]
     vi = isx.degrees[i]
     vec = X.eval_polys([fi])[0]
-    assert vec[i] != 0 and all(vec[j] == 0 for j in range(X.m) if j != i)
+    if vec[i] == 0 or any(vec[j] != 0 for j in range(X.m) if j != i):
+        raise InternalInconsistency(f"f_{i + 1} does not vanish exactly off P_{i + 1}")
     if vi > 0:
         monos = standard_monomials_upto(A.gb, X.s, vi - 1)[vi - 1]
         if monos:
-            A = X.eval_monomials(monos)
+            E = X.eval_monomials(monos)
             e_i = np.zeros(X.m, dtype=np.int64)
             e_i[i] = 1
-            if linalg.solve(f, A.T, e_i) is not None:
+            if linalg.solve(f, E.T, e_i) is not None:
                 raise InternalInconsistency(
                     f"a separator of degree {vi - 1} < v_i exists"
                 )

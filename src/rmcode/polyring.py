@@ -143,19 +143,8 @@ class Poly:
         return cls(field, nvars)
 
     @classmethod
-    def constant(cls, field, nvars, code):
-        return cls(field, nvars, {(0,) * nvars: code})
-
-    @classmethod
     def monomial(cls, field, nvars, u, code=1):
         return cls(field, nvars, {tuple(u): code})
-
-    @classmethod
-    def variable(cls, field, nvars, i):
-        """t_{i+1} (0-based index i)."""
-        u = [0] * nvars
-        u[i] = 1
-        return cls.monomial(field, nvars, tuple(u))
 
     def _check_ring(self, other):
         if self.field != other.field or self.nvars != other.nvars:
@@ -257,9 +246,6 @@ class Poly:
             return self
         return self.scale(self.field.inv(lc))
 
-    def support(self):
-        return set(self.terms)
-
     def coeff(self, u):
         return self.terms.get(tuple(u), 0)
 
@@ -280,37 +266,6 @@ class Poly:
                     val = f.mul(val, f.pow_(int(x), e))
             total = f.add(total, val)
         return total
-
-    # homogenization with respect to a new LAST variable
-
-    def homogenize(self):
-        f = self.field
-        d = max(self.degree(), 0)
-        out = {}
-        for u, c in self.terms.items():
-            out[u + (d - sum(u),)] = c
-        return Poly(f, self.nvars + 1, out)
-
-    def dehomogenize(self):
-        """Set the last variable to 1."""
-        f = self.field
-        out = {}
-        for u, c in self.terms.items():
-            v = u[:-1]
-            nc = f.add(out.get(v, 0), c)
-            if nc:
-                out[v] = nc
-            else:
-                out.pop(v, None)
-        return Poly(f, self.nvars - 1, out)
-
-    def extend_vars(self, n_new):
-        """The same polynomial viewed in a ring with n_new extra last variables."""
-        return Poly(
-            self.field,
-            self.nvars + n_new,
-            {u + (0,) * n_new: c for u, c in self.terms.items()},
-        )
 
     # text form
 

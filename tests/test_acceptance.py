@@ -265,7 +265,7 @@ def test_criterion_6_property_suites():
     rng = random.Random(55555)
     fields = {2: Field(2), 3: Field(3), 5: Field(5)}
     checked_delta = 0
-    from rmcode.codes import footprint
+    from footprint_oracle import footprint
     from rmcode.polyring import monomials_of_degree
 
     for trial in range(100):

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from rmcode import linalg
+from rmcode import artinian, linalg
 from rmcode.analysis import Analysis
 from rmcode.artinian import (
     _avoids_all,
@@ -17,7 +17,7 @@ from rmcode.artinian import (
     socle,
     verify_socle_identities,
 )
-from rmcode.errors import NotArtinian, NotGorenstein, NotRegular
+from rmcode.errors import IdentityViolated, NotArtinian, NotGorenstein, NotRegular
 from rmcode.gf import Field
 from rmcode.golden import CORPUS, load_entry
 from rmcode.groebner import buchberger, normal_form, standard_monomials_upto
@@ -221,6 +221,23 @@ def test_socle_five_points_auto_h(five_points_socle, F3):
     rep = verify_socle_identities(five_points_socle, cls)
     assert rep["special_form"]  # exercises the t_s-form identities
     assert rep["lambdas"] == [1] * 5
+
+
+def test_socle_identity_4_reads_the_staircase(five_points_socle, monkeypatch):
+    """A staircase whose degree-(r0 + 1) layer lost the t_s-multiples of the
+    standard monomials trips identity (4)."""
+    cls = classify(five_points_socle)
+    r0 = five_points_socle.hd.r0
+    staircase = artinian.standard_monomials_upto
+
+    def truncated(gb, s, dmax):
+        layers = list(staircase(gb, s, dmax))
+        layers[r0 + 1] = ()
+        return layers
+
+    monkeypatch.setattr(artinian, "standard_monomials_upto", truncated)
+    with pytest.raises(IdentityViolated, match="left the footprint"):
+        verify_socle_identities(five_points_socle, cls)
 
 
 def test_socle_plane_f3(plane_f3):

@@ -12,7 +12,6 @@ from rmcode.codes import (
     code_of_degree,
     dual_code,
     dual_sweep_size,
-    footprint,
     footprint_matrix,
     gaussian_binomial,
     ghw,
@@ -28,9 +27,10 @@ from rmcode.duality import self_orthogonal
 from rmcode.errors import BudgetExceeded, InternalInconsistency
 from rmcode.gf import Field
 from rmcode.golden import CORPUS, load_entry
-from rmcode.groebner import monomial_colon
 from rmcode.polyring import GREVLEX, TermOrder
 from rmcode.variety import PointSet, hilbert_data, points_parse, vanishing_ideal
+
+from footprint_oracle import footprint, initial_ideal, is_saturated
 
 
 def test_code_of_degree_zero_and_r0(nine_points):
@@ -241,6 +241,31 @@ def test_weight_matrix_honest_intervals_under_tiny_budget(seven_points):
                 assert cell.lo <= truth.value <= cell.hi
 
 
+def test_weight_matrix_traps_a_footprint_above_the_truth(seven_points):
+    """A footprint row above delta trips the brute-force check, and, with no
+    cell enumerated, the interval check of the propagation."""
+    X, gb, hd = seven_points.X, seven_points.gb, seven_points.hd
+    fp = [[X.m] * len(row) for row in footprint_matrix(X, gb, hd.r0)]
+    with pytest.raises(InternalInconsistency, match="footprint bound violated"):
+        weight_matrix(seven_points, fp=fp)
+    with pytest.raises(InternalInconsistency, match="bound contradiction"):
+        weight_matrix(seven_points, budget=0, fp=fp)
+
+
+def test_weight_matrix_propagation_with_nothing_enumerated():
+    """With a budget of 0 the cells below the regularity pins come from the
+    footprint, Singleton and the row and column rules alone."""
+    X, order = points_parse(load_entry("affine_plane_f3")[0])
+    wm = weight_matrix(Analysis(X, order or GREVLEX), budget=0)
+    assert wm.render().splitlines() == [
+        "[4,7]  [5,8]  [6,9]      ∞      ∞      ∞  ∞  ∞  ∞",
+        "[3,4]  [4,5]  [5,6]  [6,7]  [7,8]  [8,9]  ∞  ∞  ∞",
+        "    2      3      4      5      6      7  8  9  ∞",
+        "    1      2      3      4      5      6  7  8  9",
+    ]
+    assert [c.method for c in wm.cells[2][:8]] == ["bounds"] * 8
+
+
 def test_weight_matrix_infinity_convention(seven_points):
     X, hd = seven_points.X, seven_points.hd
     wm = weight_matrix(seven_points)
@@ -410,9 +435,7 @@ def test_footprint_matrix_matches_per_cell_footprint(F3, F4, F5):
         assert footprint_matrix(X, gb, hd.r0, budget=budget) == _footprint_oracle(
             X, gb, hd, budget
         )
-        init = gb.initial_ideal()
-        unit = [tuple(int(i == j) for j in range(X.s)) for i in range(X.s)]
-        unsaturated += monomial_colon(init, unit) != init
+        unsaturated += not is_saturated(initial_ideal(gb))
     assert unsaturated >= 1
 
 

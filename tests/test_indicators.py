@@ -207,3 +207,13 @@ def test_vanishing_pattern_trap_catches_a_wrong_indicator(nine_points, monkeypat
     monkeypatch.setattr(indicators, "_solve_indicators", corrupted)
     with pytest.raises(InternalInconsistency, match="vanishing pattern"):
         indicators.standard_indicators(Analysis(nine_points.X))
+
+
+def test_colon_witness_catches_a_wrong_indicator(nine_points):
+    """An f_i that is also nonzero at another point trips the re-verification
+    of its vanishing pattern."""
+    A = Analysis(nine_points.X)
+    A.isx.fs[0] = A.isx.fs[0] + A.isx.fs[1]
+    with pytest.raises(InternalInconsistency, match="vanish"):
+        colon_witness(A, 0)
+    assert colon_witness(A, 1) == A.isx.fs[1]
