@@ -171,7 +171,7 @@ def analyze_text(text, req=None):
 
     report["vanishing_ideal"] = {
         "groebner_basis": gb.to_strings(),
-        "initial_ideal": [format_monomial(u) for u in gb.leading_monomials()],
+        "initial_ideal": [format_monomial(u) for u in gb.leads],
         "minimal_generators": mingens,
         "complete_intersection": mingens == s - 1,
     }

@@ -16,6 +16,7 @@ from .errors import (
     NotGorenstein,
     NotRegular,
 )
+from .codes import LinearCode
 from .gf import Field
 from .groebner import (
     GroebnerBasis,
@@ -35,9 +36,10 @@ class ArtinianReduction:
     (candidates, std, nf, rows) of degree e: the candidates are every
     variable times every standard monomial of degree e - 1, ascending; std
     indexes the standard ones; column j of nf is the normal form of
-    candidate j over them; rows, the rows of h*C_X(e-1) followed by the
-    evaluations of the standard monomials, are a basis of C_X(e).  The
-    last step has no standard monomial.
+    candidate j over them, read off the evaluations reduced modulo the
+    RREF basis of h*C_X(e-1); rows, h times the rows of step e - 1 followed
+    by the evaluations of the standard monomials, are a basis of C_X(e).
+    The last step has no standard monomial.
     """
 
     basis: GroebnerBasis
@@ -171,25 +173,36 @@ def artinian_reduce(X, order, h):
     """The reduction S/(I(X), h) for a regular linear form h.
 
     J_e = I(X)_e + h*S_{e-1}, so (S/J)_e = C_X(e) / h*C_X(e-1): each degree
-    is one interpolation step on X with the rows of h*C_X(e-1), h times the
-    previous step's rows, fixed first.  The steps stop at the first degree
-    without a standard monomial.
+    is one interpolation step on X modulo h*C_X(e-1), given by its RREF
+    basis G and pivots P.  That basis is carried from degree to degree:
+    the reduced evaluations of the new standard monomials are zero on P,
+    so their RREF, G back-eliminated on its pivots, and the two interleaved
+    by pivot are the RREF of C_X(e), and h*C_X(e) is that basis rescaled by
+    ``LinearCode.scaled``.  The steps stop at the first degree without a
+    standard monomial.
     """
-    f, s = X.field, X.s
+    f, s, m = X.field, X.s, X.m
     if h.homogeneous_degree() != 1:
         raise InvalidParams(f"h = {h.to_str(order)} is not a nonzero linear form")
     hvals = X.eval_polys([h])[0]
     if np.any(hvals == 0):
         raise NotRegular(f"{h.to_str(order)} vanishes at a point of X")
     gens, leads, steps = [], [], []
-    candidates, hrows = [(0,) * s], np.zeros((0, X.m), dtype=np.int64)
+    candidates, hrows = [(0,) * s], np.zeros((0, m), dtype=np.int64)
+    G, P = hrows, np.zeros(0, dtype=np.int64)
     while True:
-        ev, std, nf = interpolation_step(X, candidates, hrows)
+        ev, std, nf, red = interpolation_step(X, candidates, (G, P))
         gens += basis_elements(f, candidates, std, nf, leads)
         rows = np.concatenate([hrows, ev[std]])
         steps.append((candidates, std, nf, rows))
         if not std:
             break
+        G, P = _extended_basis(f, G, P, red[std])
+        if len(G) != len(rows):
+            raise InternalInconsistency(
+                f"the rows of C_X({len(steps) - 1}) are dependent"
+            )
+        G = LinearCode(f, m, G).scaled(hvals).basis
         hrows = f.mul_arr(rows, hvals[None, :])
         layer = [candidates[c] for c in std]
         candidates = sorted(_next_layer(layer, s, ()), key=order.key)
@@ -198,6 +211,20 @@ def artinian_reduce(X, order, h):
             "the interpolated basis of (I, h) failed certification"
         )
     return ArtinianReduction(GroebnerBasis(order, gens, certified=True), steps)
+
+
+def _extended_basis(field, G, P, new):
+    """The RREF basis and pivots of span(G) + span(W), for G in RREF with
+    pivots P and rows W that are zero on P, given by ``new``, their values
+    on the other coordinates."""
+    free = np.delete(np.arange(G.shape[1]), P)
+    R, pivots = linalg.rref(field, new)
+    W = np.zeros((len(pivots), G.shape[1]), dtype=np.int64)
+    W[:, free] = R
+    Q = free[list(pivots)]
+    G = field.sub_arr(G, field.matmul(G[:, Q], W))
+    by_pivot = np.argsort(np.concatenate([P, Q]))
+    return np.concatenate([G, W])[by_pivot], np.concatenate([P, Q])[by_pivot]
 
 
 def socle(red):

@@ -290,7 +290,7 @@ def footprint_matrix(X, gb, r0, budget=None):
     """
     budget = budget if budget is not None else enumeration_budget(DEFAULT_SUBSPACE_BUDGET)
     s, m = X.s, X.m
-    leads = gb.leading_monomials()
+    leads = gb.leads
     # S/L with dim S/L <= 1 has a constant Hilbert function from degree
     # sum_i a_i - s + 1 on, a_i the top exponent of x_i in L's generators;
     # every L = in(I)+(F) with F in degrees <= r0 has a_i <= max(a_i(in(I)), r0)

@@ -207,9 +207,11 @@ def self_orthogonal(A, d):
 
 def self_dual(A, d):
     """C_X(d) equal to its dual: self-orthogonal of dimension m/2, the
-    dimension tested first."""
+    dimension tested first on both sides, so the dual is built only where
+    a code of length m can equal it."""
+    C = A.code(d)
     result = A.X.m == 2 * A.hd.value(d) and self_orthogonal(A, d)
-    if result != (A.code(d) == A.dual(d)):
+    if result != (2 * C.dimension == C.length and C == A.dual(d)):
         raise InternalInconsistency(
             "self-duality criterion disagrees with direct RREF equality"
         )

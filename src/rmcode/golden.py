@@ -24,6 +24,7 @@ from .duality import (
     local_duality_verify,
     self_dual_report,
 )
+from .errors import InternalInconsistency
 from .groebner import buchberger, minimal_generator_count, standard_monomials_upto
 from .polyring import GREVLEX, parse_monomial, parse_poly
 from .variety import points_parse
@@ -319,7 +320,10 @@ def run_entry(name, expected=None, budget=None):
     if exp.get("affine_source"):
         # the same certificate must come out of the affine route
         last = s - 1
-        assert np.all(X.coords[:, last] == 1)
+        if not np.all(X.coords[:, last] == 1):
+            raise InternalInconsistency(
+                f"golden entry {name} has an affine source but a last coordinate != 1"
+            )
         affine_rows = [list(map(int, row[:-1])) for row in X.coords]
         acert, ainfo, _ = affine_duality(f, affine_rows)
         ok = (

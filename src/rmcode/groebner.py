@@ -26,19 +26,24 @@ class GroebnerBasis:
 
     ``certified`` is set once every S-polynomial has been checked to reduce
     to zero (Buchberger's criterion), i.e. once the list is known to be an
-    actual Groebner basis.  The basis is immutable, so the staircase that
+    actual Groebner basis.  The basis is immutable, so its leading
+    monomials ``leads`` are computed once, and the staircase that
     ``standard_monomials_upto`` memoizes on it cannot go stale.
     """
 
     order: TermOrder
     gens: tuple = ()
     certified: bool = dc_field(default=False, compare=False)
+    leads: tuple = dc_field(init=False, repr=False, compare=False)
     _staircase: dict = dc_field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
         object.__setattr__(self, "gens", tuple(self.gens))
+        object.__setattr__(
+            self, "leads", tuple(g.leading_monomial(self.order) for g in self.gens)
+        )
 
     @property
     def field(self):
@@ -47,9 +52,6 @@ class GroebnerBasis:
     @property
     def nvars(self):
         return self.gens[0].nvars if self.gens else 0
-
-    def leading_monomials(self):
-        return [g.leading_monomial(self.order) for g in self.gens]
 
     def to_strings(self):
         return [g.to_str(self.order) for g in self.gens]
@@ -63,7 +65,7 @@ def normal_form(f, gb):
     if gens and (f.field != gens[0].field or f.nvars != gens[0].nvars):
         raise RingMismatch("polynomial and basis live in different rings")
     fld = f.field
-    leads = [(g.leading_monomial(order), g) for g in gens]
+    leads = list(zip(gb.leads, gens))
     work = f
     rem = Poly.zero(fld, f.nvars)
     while not work.is_zero():
@@ -148,12 +150,10 @@ def buchberger(gens, order):
 
 def gb_certify(gb):
     """Buchberger's criterion: every S-polynomial reduces to zero."""
-    gens, order = gb.gens, gb.order
+    gens, leads, order = gb.gens, gb.leads, gb.order
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            mi = gens[i].leading_monomial(order)
-            mj = gens[j].leading_monomial(order)
-            if monomial_coprime(mi, mj):
+            if monomial_coprime(leads[i], leads[j]):
                 continue
             if not normal_form(_spoly(gens[i], gens[j], order), gb).is_zero():
                 return False
@@ -166,9 +166,8 @@ def standard_monomials_upto(gb, nvars, dmax):
     ring and shared, as tuples, by every caller."""
     layers = gb._staircase.setdefault(nvars, [])
     if len(layers) <= dmax:
-        leads = gb.leading_monomials()
         while len(layers) <= dmax:
-            nxt = _next_layer(layers[-1] if layers else None, nvars, leads)
+            nxt = _next_layer(layers[-1] if layers else None, nvars, gb.leads)
             layers.append(tuple(gb.order.sorted_desc(nxt)))
     return layers[: dmax + 1]
 

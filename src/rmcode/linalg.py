@@ -9,7 +9,10 @@ def rref(field, mat):
     """Reduced row-echelon form.
 
     Returns (R, pivots) where R is the RREF (zero rows dropped) and pivots is
-    the tuple of pivot column indices.
+    the tuple of pivot column indices.  When column c gets its pivot, every
+    row from the pivot row down is zero left of c, so a pivot step touches
+    only columns c and beyond; the short column of factors is negated, so
+    each row is updated by one product and one sum.
     """
     a = field.arr(mat).copy()
     if a.size == 0:
@@ -25,14 +28,15 @@ def rref(field, mat):
             continue
         i = r + int(nz[0])
         if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = field.inv(int(a[r, c]))
-        a[r] = field.mul_arr(a[r], inv)
+            a[[r, i], c:] = a[[i, r], c:]
+        a[r, c:] = field.mul_arr(a[r, c:], field.inv(int(a[r, c])))
         others = np.nonzero(a[:, c])[0]
         others = others[others != r]
         if others.size:
-            factors = a[others, c][:, None]
-            a[others] = field.sub_arr(a[others], field.mul_arr(factors, a[r][None, :]))
+            factors = field.neg_arr(a[others, c])[:, None]
+            a[others, c:] = field.add_arr(
+                a[others, c:], field.mul_arr(factors, a[r, c:][None, :])
+            )
         pivots.append(c)
         r += 1
     return a[: len(pivots)], tuple(pivots)

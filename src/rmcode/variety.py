@@ -275,26 +275,27 @@ def interpolation_step(X, candidates, fixed=None):
     """One degree of the interpolation on the evaluation map of X.
 
     ``candidates`` are monomials of one degree in ascending order; ``fixed``
-    optionally holds independent evaluation rows of a subspace V that is
-    already in the ideal (the rows of h*C_X(e-1) for (I(X), h)).  One RREF
-    of the matrix whose columns are the fixed rows, then the candidates'
-    evaluations: its pivots among the candidates are the standard
-    monomials, and column j of ``nf`` holds the coefficients over them of
-    the normal form of candidate j, because candidate j minus that
-    combination evaluates into V.
+    optionally is (G, P): the RREF basis and the pivot columns of a
+    subspace V of evaluation vectors already in the ideal (h*C_X(e-1) for
+    (I(X), h)).  Each evaluation v is reduced to v - v[P]*G, which is zero
+    on P, and kept on the other coordinates; that map has kernel exactly V.
+    One RREF of the matrix whose columns are the reduced evaluations: its
+    pivots are the standard monomials, and column j of ``nf`` holds the
+    coefficients over them of the normal form of candidate j, because
+    candidate j minus that combination evaluates into V.
 
-    Returns (ev, std, nf): the candidates' evaluation rows, the indices of
-    the standard ones, and the (len(std), len(candidates)) matrix.
+    Returns (ev, std, nf, red): the candidates' evaluation rows, the
+    indices of the standard ones, the (len(std), len(candidates)) matrix,
+    and the reduced evaluation rows, on the coordinates off P.
     """
-    ev = X.eval_monomials(candidates)
-    rows = ev if fixed is None else np.concatenate([fixed, ev])
-    k = len(rows) - len(ev)
-    R, pivots = rref(X.field, rows.T)
-    if pivots[:k] != tuple(range(k)):
-        raise InternalInconsistency(
-            "the fixed rows of an interpolation step are dependent"
-        )
-    return ev, [c - k for c in pivots[k:]], R[k:, k:]
+    f = X.field
+    ev = red = X.eval_monomials(candidates)
+    if fixed is not None:
+        G, P = fixed
+        free = np.delete(np.arange(X.m), P)
+        red = f.sub_arr(ev[:, free], f.matmul(ev[:, P], G[:, free]))
+    nf, pivots = rref(f, red.T)
+    return ev, list(pivots), nf, red
 
 
 def basis_elements(field, candidates, std, nf, leads):
@@ -341,7 +342,7 @@ def vanishing_ideal(X, order=GREVLEX):
         if d > 4 * (m + s):  # unreachable for honest inputs; loud bug trap
             raise CertificationFailed("interpolation failed to stabilize")
         candidates = sorted(_next_layer(accepted, s, leads), key=order.key)
-        _, std, nf = interpolation_step(X, candidates)
+        _, std, nf, _ = interpolation_step(X, candidates)
         old = len(leads)
         gens += basis_elements(f, candidates, std, nf, leads)
         for i in range(old, len(leads)):

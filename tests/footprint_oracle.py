@@ -64,7 +64,7 @@ class MonomialIdeal:
 
 
 def initial_ideal(gb):
-    return MonomialIdeal(gb.nvars, tuple(gb.leading_monomials()))
+    return MonomialIdeal(gb.nvars, gb.leads)
 
 
 def monomial_colon(L, F):

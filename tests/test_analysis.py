@@ -149,7 +149,7 @@ def test_groebner_basis_cannot_change_under_its_staircase(F3):
 
 
 def _staircase_oracle(gb, s, d):
-    leads = gb.leading_monomials()
+    leads = gb.leads
     layer = [
         u for u in monomials_of_degree(s, d) if not any(monomial_divides(v, u) for v in leads)
     ]

@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from rmcode import artinian, linalg
+from elimination_oracle import artinian_steps_fixed_rows
+from rmcode import artinian, linalg, variety
 from rmcode.analysis import Analysis
 from rmcode.artinian import (
     _avoids_all,
@@ -321,7 +322,7 @@ def _socle_by_division(J, nvars):
     multiplication map read from normal forms computed term by term.
     Returns the (degree, polynomial) pairs and the top degree."""
     f = J.field
-    leads = J.leading_monomials()
+    leads = J.leads
     bound = 0  # no standard monomial has degree above sum_i (a_i - 1)
     for i in range(nvars):
         pure = [
@@ -419,3 +420,69 @@ def test_reduction_matches_oracles_on_random_sets():
             kinds.add((cls.gorenstein, cls.extension_degree > 1, X.field.k > 1))
     assert {g for g, _, _ in kinds} == {True, False}
     assert any(e for _, e, _ in kinds) and any(k for _, _, k in kinds)
+
+
+# -- the fixed-rows oracle ------------------------------------------------------
+
+
+def _assert_steps_match_the_fixed_rows_oracle(X, order, h):
+    """Every step of ``artinian_reduce`` equals the step that eliminates
+    the rows of h*C_X(e-1) again from scratch."""
+    steps = artinian_reduce(X, order, h).steps
+    want = artinian_steps_fixed_rows(X, order, h)
+    assert len(steps) == len(want)
+    for (cands, std, nf, rows), (cands0, std0, nf0, rows0) in zip(steps, want):
+        assert cands == cands0 and std == std0
+        assert nf.shape == nf0.shape and np.array_equal(nf, nf0)
+        assert rows.shape == rows0.shape and np.array_equal(rows, rows0)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_reduction_steps_match_the_fixed_rows_oracle_on_corpus(name):
+    X, _ = points_parse(load_entry(name)[0])
+    h, _, workX = find_regular_linear_form(X)
+    for order in (GREVLEX, TermOrder("glex")):
+        _assert_steps_match_the_fixed_rows_oracle(workX, order, h)
+
+
+def test_reduction_steps_match_the_fixed_rows_oracle_on_random_sets():
+    """Seeded sets under grevlex and glex, each with its first regular form,
+    which for a fifth of them needs a scalar extension, and with a random
+    regular form over the field the form lives in."""
+    rng = random.Random(1093)
+    lifted = 0
+    sets = _random_analysis_sets(60, 1093)
+    for X in sets:
+        h, e, workX = find_regular_linear_form(X)
+        lifted += e > 1
+        forms = [h]
+        coeffs = [rng.randrange(workX.field.q) for _ in range(X.s)]
+        if _avoids_all(workX, coeffs):
+            forms.append(_linear_form(workX.field, X.s, coeffs))
+        for order in (GREVLEX, TermOrder("glex")):
+            for form in forms:
+                _assert_steps_match_the_fixed_rows_oracle(workX, order, form)
+    assert lifted >= 10
+
+
+def test_artinian_reduce_eliminates_at_most_2m_pivots(monkeypatch):
+    """Degree e finds its h_e standard monomials with h_e pivots and adds
+    them to the RREF basis of h*C_X(e-1) with h_e more, so a reduction
+    takes 2m pivots; eliminating h*C_X(e-1) again at every degree would
+    add the sum of H(e-1) over e."""
+    kernel = linalg.rref
+    counted = []
+
+    def counting(field, mat):
+        R, pivots = kernel(field, mat)
+        counted.append(len(pivots))
+        return R, pivots
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    monkeypatch.setattr(variety, "rref", counting)
+    for name in CORPUS:
+        X, order = points_parse(load_entry(name)[0])
+        h, _, workX = find_regular_linear_form(X)
+        counted.clear()
+        artinian_reduce(workX, order or GREVLEX, h)
+        assert 0 < sum(counted) <= 2 * X.m
