@@ -8,7 +8,6 @@ from .gf import Field
 from .polyring import GREVLEX, Poly, TermOrder, parse_poly
 from .groebner import (
     GroebnerBasis,
-    buchberger,
     gb_certify,
     minimal_generator_count,
     normal_form,

@@ -45,10 +45,6 @@ class TooFewPoints(RMCodeError):
     pass
 
 
-class CertificationFailed(RMCodeError):
-    pass
-
-
 class InternalInconsistency(RMCodeError):
     """A statement the engine is entitled to rely on failed at runtime.
 
@@ -79,10 +75,6 @@ class ConditionFailed(RMCodeError):
 
 
 class NotRegular(RMCodeError):
-    pass
-
-
-class NotArtinian(RMCodeError):
     pass
 
 

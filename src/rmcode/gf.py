@@ -281,9 +281,6 @@ class Field:
             return (-a) % self.p
         return int(self._neg_t[a])
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         if self.k == 1:
             return (a * b) % self.p
@@ -334,6 +331,15 @@ class Field:
         if self.k == 1:
             return (a * b) % self.p
         return self._mul_t[a, b]
+
+    def sub_mul_arr(self, a, f, b):
+        """a - f*b, broadcast.  Over F_p one reduction suffices: codes are
+        below 2**31, so |a - f*b| < 2**62.  Over F_{p^k} f is negated
+        before the table gathers, as it is the shortest operand in a pivot
+        update (a column of factors)."""
+        if self.k == 1:
+            return (a - f * b) % self.p
+        return self._add_t[a, self._mul_t[self._neg_t[f], b]]
 
     def matmul(self, a, b):
         """The exact field product a @ b of an (n, l) and an (l, c) matrix.

@@ -1,9 +1,12 @@
 """Embedded corpus of worked examples with stored expected values.
 
 Each entry is a points file plus a JSON file of expected invariants; the
-runner recomputes everything and reports divergences.  Ideals are compared
-as reduced Groebner bases, indicator functions up to scalar (leading
-coefficient 1), numeric invariants exactly.
+runner recomputes everything and reports divergences.  A stored ``gb`` must
+be the reduced Groebner basis under the entry's order, which is unique, and
+is compared generator by generator; stored ``ideal_gens`` are compared as an
+ideal, by linear algebra against the certified basis.  Indicator functions
+are compared up to scalar (leading coefficient 1), numeric invariants
+exactly.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .duality import (
     self_dual_report,
 )
 from .errors import InternalInconsistency
-from .groebner import buchberger, minimal_generator_count, standard_monomials_upto
+from .groebner import generates, minimal_generator_count, standard_monomials_upto
 from .polyring import GREVLEX, parse_monomial, parse_poly
 from .variety import points_parse
 
@@ -105,15 +108,17 @@ def run_entry(name, expected=None, budget=None):
     if "h_vector" in exp:
         res.record("h_vector", list(hd.h_vector) == exp["h_vector"], str(hd.h_vector))
 
-    for key in ("gb", "ideal_gens"):
-        if key in exp:
-            parsed = [parse_poly(f, s, t) for t in exp[key]]
-            expected_gb = buchberger(parsed, order)
-            res.record(
-                key,
-                expected_gb.gens == gb.gens,
-                f"computed {gb.to_strings()}",
-            )
+    if "gb" in exp:
+        # a reduced basis is unique for the ideal and the order
+        parsed = [parse_poly(f, s, t) for t in exp["gb"]]
+        want = sorted(
+            (g.monic(order) for g in parsed if not g.is_zero()),
+            key=lambda g: order.key(g.leading_monomial(order)),
+        )
+        res.record("gb", tuple(want) == gb.gens, f"computed {gb.to_strings()}")
+    if "ideal_gens" in exp:
+        parsed = [parse_poly(f, s, t) for t in exp["ideal_gens"]]
+        res.record("ideal_gens", generates(parsed, gb), f"computed {gb.to_strings()}")
 
     if "indicators" in exp:
         want = [parse_poly(f, s, t).monic(order) for t in exp["indicators"]]

@@ -1,13 +1,13 @@
-"""Buchberger's algorithm, normal forms, the staircase of standard monomials,
-and the minimal generator count."""
+"""Normal forms, Buchberger's criterion, the staircase of standard monomials,
+and linear algebra on the ideal of a certified basis."""
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field as dc_field
+from math import comb
 
 from . import linalg
-from .errors import RingMismatch, Unsupported
+from .errors import RingMismatch
 from .polyring import (
     Poly,
     TermOrder,
@@ -91,63 +91,6 @@ def _spoly(f, g, order):
     return a - b
 
 
-def buchberger(gens, order):
-    """Certified reduced Groebner basis of homogeneous generators.
-
-    Normal selection strategy (smallest lcm first) with the coprime
-    leading-term skip; final basis is minimalized, interreduced, monic, and
-    sorted by ascending leading monomial.
-    """
-    polys = [g for g in gens if not g.is_zero()]
-    if not polys:
-        return GroebnerBasis(order, [], certified=True)
-    fld, nv = polys[0].field, polys[0].nvars
-    for g in polys:
-        if g.field != fld or g.nvars != nv:
-            raise RingMismatch("generators live in different rings")
-        if not g.is_homogeneous():
-            raise Unsupported("only homogeneous (graded) ideals are handled")
-
-    G = []
-    leads = []
-    heap = []
-
-    def push_pairs(j):
-        for i in range(j):
-            L = monomial_lcm(leads[i], leads[j])
-            heapq.heappush(heap, (sum(L), order.key(L), i, j))
-
-    for g in polys:
-        G.append(g.monic(order))
-        leads.append(G[-1].leading_monomial(order))
-        push_pairs(len(G) - 1)
-
-    while heap:
-        _, _, i, j = heapq.heappop(heap)
-        if monomial_coprime(leads[i], leads[j]):
-            continue
-        r = normal_form(_spoly(G[i], G[j], order), GroebnerBasis(order, G))
-        if not r.is_zero():
-            G.append(r.monic(order))
-            leads.append(G[-1].leading_monomial(order))
-            push_pairs(len(G) - 1)
-
-    # minimalize: keep only generators with minimal leading monomials
-    keep = []
-    for idx in sorted(range(len(G)), key=lambda t: order.key(leads[t])):
-        if not any(monomial_divides(leads[k], leads[idx]) for k in keep):
-            keep.append(idx)
-    minimal = [G[k] for k in keep]
-    # interreduce: replace every generator by its remainder modulo the others
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = GroebnerBasis(order, minimal[:i] + minimal[i + 1 :])
-        r = normal_form(g, others)
-        reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
-    return GroebnerBasis(order, reduced, certified=True)
-
-
 def gb_certify(gb):
     """Buchberger's criterion: every S-polynomial reduces to zero."""
     gens, leads, order = gb.gens, gb.leads, gb.order
@@ -183,31 +126,57 @@ def _next_layer(layer, nvars, leads):
     return [v for v in cands if not any(monomial_divides(g, v) for g in leads)]
 
 
-# -- minimal number of generators ------------------------------------------------
+# -- the ideal of a certified basis, degree by degree ------------------------------
+
+
+def _products_rank(fld, polys, nvars, d, wmin):
+    """Rank of the degree-d products g*w of the homogeneous ``polys`` with
+    the monomials w of degree >= wmin."""
+    rows = []
+    for g in polys:
+        dw = d - g.homogeneous_degree()
+        if dw >= wmin:
+            rows += [g.mul_term(w) for w in monomials_of_degree(nvars, dw)]
+    return linalg.rank(fld, coefficient_matrix(rows, list(monomials_of_degree(nvars, d))))
+
+
+def _ideal_dim(layers, nvars, d):
+    """dim I_d = C(d+s-1, s-1) - |standard monomials of degree d|: the
+    standard monomials of degree d are a basis of S_d/I_d."""
+    return comb(d + nvars - 1, nvars - 1) - len(layers[d])
 
 
 def minimal_generator_count(gb, r0):
     """Number of minimal homogeneous generators of the ideal of the
     certified basis ``gb``, by linear algebra in degrees <= r0 + 1.
 
-    The products g*w of the generators with the monomials w span I_d, and
-    the standard monomials of degree d are a basis of S_d/I_d, so
-    dim I_d = C(d+s-1, s-1) - |standard monomials of degree d|.  The
-    minimal generators of degree d number dim I_d minus the rank of the
+    The products g*w of the generators with the monomials w span I_d, so
+    the minimal generators of degree d number dim I_d minus the rank of the
     products with deg w >= 1.
     """
-    fld = gb.field
     nv = gb.nvars
     layers = standard_monomials_upto(gb, nv, r0 + 1)
-    total = 0
-    for d in range(1, r0 + 2):
-        monos = list(monomials_of_degree(nv, d))
-        via_lower = []
-        for g in gb.gens:
-            dg = g.homogeneous_degree()
-            if dg < d:
-                via_lower += [g.mul_term(w) for w in monomials_of_degree(nv, d - dg)]
-        total += len(monos) - len(layers[d])
-        if via_lower:
-            total -= linalg.rank(fld, coefficient_matrix(via_lower, monos))
-    return total
+    return sum(
+        _ideal_dim(layers, nv, d) - _products_rank(gb.field, gb.gens, nv, d, 1)
+        for d in range(1, r0 + 2)
+    )
+
+
+def generates(polys, gb):
+    """Whether the polynomials ``polys`` generate the ideal I of the
+    certified basis ``gb``, by linear algebra.
+
+    They must be homogeneous with normal form 0, so (polys) lies in I; and
+    in each degree d up to the top degree of either list their products g*w
+    must span I_d, which puts every element of ``gb`` in (polys).
+    """
+    polys = [g for g in polys if not g.is_zero()]
+    if any(g.homogeneous_degree() is None or not normal_form(g, gb).is_zero() for g in polys):
+        return False
+    nv = gb.nvars
+    top = max((g.homogeneous_degree() for g in (*polys, *gb.gens)), default=0)
+    layers = standard_monomials_upto(gb, nv, top)
+    return all(
+        _products_rank(gb.field, polys, nv, d, 0) == _ideal_dim(layers, nv, d)
+        for d in range(1, top + 1)
+    )

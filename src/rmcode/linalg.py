@@ -11,8 +11,8 @@ def rref(field, mat):
     Returns (R, pivots) where R is the RREF (zero rows dropped) and pivots is
     the tuple of pivot column indices.  When column c gets its pivot, every
     row from the pivot row down is zero left of c, so a pivot step touches
-    only columns c and beyond; the short column of factors is negated, so
-    each row is updated by one product and one sum.
+    only columns c and beyond, each other row by one field operation
+    row - factor * pivot row.
     """
     a = field.arr(mat).copy()
     if a.size == 0:
@@ -33,9 +33,8 @@ def rref(field, mat):
         others = np.nonzero(a[:, c])[0]
         others = others[others != r]
         if others.size:
-            factors = field.neg_arr(a[others, c])[:, None]
-            a[others, c:] = field.add_arr(
-                a[others, c:], field.mul_arr(factors, a[r, c:][None, :])
+            a[others, c:] = field.sub_mul_arr(
+                a[others, c:], a[others, c][:, None], a[r, c:][None, :]
             )
         pivots.append(c)
         r += 1

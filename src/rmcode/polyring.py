@@ -153,9 +153,6 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
-    def copy(self):
-        return Poly(self.field, self.nvars, dict(self.terms))
-
     # arithmetic
 
     def __add__(self, other):
@@ -193,20 +190,6 @@ class Poly:
             {monomial_mul(v, u): f.mul(c, code) for v, c in self.terms.items()},
         )
 
-    def __mul__(self, other):
-        self._check_ring(other)
-        f = self.field
-        out = {}
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                w = monomial_mul(u, v)
-                nc = f.add(out.get(w, 0), f.mul(cu, cv))
-                if nc:
-                    out[w] = nc
-                else:
-                    out.pop(w, None)
-        return Poly(f, self.nvars, out)
-
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
@@ -220,17 +203,10 @@ class Poly:
 
     # structure
 
-    def degree(self):
-        """Total degree (-1 for the zero polynomial)."""
-        return max((sum(u) for u in self.terms), default=-1)
-
     def homogeneous_degree(self):
         """The common degree of all terms, or None if inhomogeneous/zero."""
         degs = {sum(u) for u in self.terms}
         return degs.pop() if len(degs) == 1 else None
-
-    def is_homogeneous(self):
-        return len({sum(u) for u in self.terms}) <= 1
 
     def leading_monomial(self, order):
         if not self.terms:

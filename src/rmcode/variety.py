@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CertificationFailed,
     DimensionMismatch,
     DuplicatePoint,
     InternalInconsistency,
@@ -340,7 +339,7 @@ def vanishing_ideal(X, order=GREVLEX):
     while r0 is None or d < max(r0 + 1, bound):
         d += 1
         if d > 4 * (m + s):  # unreachable for honest inputs; loud bug trap
-            raise CertificationFailed("interpolation failed to stabilize")
+            raise InternalInconsistency("interpolation failed to stabilize")
         candidates = sorted(_next_layer(accepted, s, leads), key=order.key)
         _, std, nf, _ = interpolation_step(X, candidates)
         old = len(leads)
@@ -355,7 +354,7 @@ def vanishing_ideal(X, order=GREVLEX):
 
     gb = GroebnerBasis(order, gens)
     if not gb_certify(gb):
-        raise CertificationFailed("the interpolated basis failed certification")
+        raise InternalInconsistency("the interpolated basis failed certification")
     if np.any(X.eval_polys(gens)):
         raise InternalInconsistency("basis element does not vanish on X")
     return GroebnerBasis(order, gens, certified=True)

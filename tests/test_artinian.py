@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from elimination_oracle import artinian_steps_fixed_rows
+from groebner_oracle import buchberger
 from rmcode import artinian, linalg, variety
 from rmcode.analysis import Analysis
 from rmcode.artinian import (
@@ -18,10 +19,10 @@ from rmcode.artinian import (
     socle,
     verify_socle_identities,
 )
-from rmcode.errors import IdentityViolated, NotArtinian, NotGorenstein, NotRegular
+from rmcode.errors import IdentityViolated, NotGorenstein, NotRegular, RMCodeError
 from rmcode.gf import Field
 from rmcode.golden import CORPUS, load_entry
-from rmcode.groebner import buchberger, normal_form, standard_monomials_upto
+from rmcode.groebner import normal_form, standard_monomials_upto
 from rmcode.polyring import GREVLEX, Poly, TermOrder, parse_monomial, parse_poly
 from rmcode.variety import PointSet, points_full_projective, points_parse
 
@@ -302,6 +303,10 @@ def test_level_symmetric_consistency(plane_f3, five_points_frame):
 
 
 # -- the term-by-term oracles ---------------------------------------------------
+
+
+class NotArtinian(RMCodeError):
+    pass
 
 
 def _reduction_by_buchberger(A, cls):

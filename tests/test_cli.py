@@ -97,6 +97,15 @@ def test_analyze_internal_inconsistency_exit(monkeypatch, frame_points_file):
     assert main(["analyze", frame_points_file]) == 4
 
 
+def test_analyze_failed_certification_exit(monkeypatch, frame_points_file, capsys):
+    """A basis that fails Buchberger's criterion is a bug, not bad input."""
+    from rmcode import variety
+
+    monkeypatch.setattr(variety, "gb_certify", lambda gb: False)
+    assert main(["analyze", frame_points_file]) == 4
+    assert "failed certification" in capsys.readouterr().err
+
+
 def test_analyze_bad_flag_values(frame_points_file, capsys):
     assert main(["analyze", frame_points_file, "--ghw", "nonsense"]) == 2
     assert main(["analyze", frame_points_file, "--order", "lex"]) == 2

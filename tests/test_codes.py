@@ -28,7 +28,13 @@ from rmcode.errors import BudgetExceeded, InternalInconsistency
 from rmcode.gf import Field
 from rmcode.golden import CORPUS, load_entry
 from rmcode.polyring import GREVLEX, TermOrder
-from rmcode.variety import PointSet, hilbert_data, points_parse, vanishing_ideal
+from rmcode.variety import (
+    PointSet,
+    hilbert_data,
+    points_full_projective,
+    points_parse,
+    vanishing_ideal,
+)
 
 from footprint_oracle import footprint, initial_ideal, is_saturated
 
@@ -264,6 +270,15 @@ def test_weight_matrix_propagation_with_nothing_enumerated():
         "    1      2      3      4      5      6  7  8  9",
     ]
     assert [c.method for c in wm.cells[2][:8]] == ["bounds"] * 8
+
+
+def test_weight_matrix_column_rule_tightens_an_interval(F4):
+    """On P^2(F_4) the column rule delta(2, 1) <= delta(1, 1) - 1 is what
+    caps cell (2, 1): without it the interval would be [11, 16]."""
+    A = Analysis(points_full_projective(3, F4), GREVLEX)
+    cell = weight_matrix(A, budget=100).cell(2, 1)
+    assert (cell.kind, cell.lo, cell.hi) == ("interval", 11, 15)
+    assert min_distance(A.code(2)) == 12  # Sorensen's value for P^2(F_4), d = 2
 
 
 def test_weight_matrix_infinity_convention(seven_points):

@@ -314,3 +314,21 @@ def test_matmul_matches_the_scalar_triple_loop(p, k):
         assert np.array_equal(got, _matmul_by_scalars(F, a, b))
         top = np.full((2, inner), F.q - 1)
         assert np.array_equal(F.matmul(top, top.T), _matmul_by_scalars(F, top, top.T))
+
+
+@pytest.mark.parametrize("p,k", MATMUL_FIELDS)
+def test_sub_mul_arr_matches_scalar_arithmetic(p, k):
+    """The pivot update a - f*b, a column f of factors against a row b."""
+    F = Field(p, k)
+    rng = np.random.default_rng(F.q % 997)
+    top = max(0, F.q - 50)
+    for lo in (0, top):  # the top codes bound |a - f*b| near p = 2**31
+        a = rng.integers(lo, F.q, size=(5, 7))
+        f = rng.integers(lo, F.q, size=(5, 1))
+        b = rng.integers(lo, F.q, size=(1, 7))
+        got = F.sub_mul_arr(a, f, b)
+        want = [
+            [F.add(int(a[i, j]), F.neg(F.mul(int(f[i, 0]), int(b[0, j])))) for j in range(7)]
+            for i in range(5)
+        ]
+        assert got.dtype == np.int64 and got.tolist() == want

@@ -11,7 +11,6 @@ from rmcode.gf import Field
 from rmcode.golden import CORPUS, load_entry
 from rmcode.groebner import (
     GroebnerBasis,
-    buchberger,
     gb_certify,
     minimal_generator_count,
     normal_form,
@@ -28,6 +27,7 @@ from rmcode.polyring import (
 from rmcode.variety import PointSet, points_full_projective, points_parse
 
 from footprint_oracle import MonomialIdeal, monomial_colon, monomial_dim_degree
+from groebner_oracle import buchberger
 
 
 def test_buchberger_quartic_completion(F4):
