@@ -44,6 +44,15 @@ def _parse_order(text):
     return TermOrder(kind, perm)
 
 
+def _parse_ghw_cell(spec):
+    """The (d, r) of one ``--ghw d,r`` value."""
+    try:
+        d, r = (int(t) for t in spec.split(","))
+    except ValueError:
+        raise ValueError(f"ghw cell {spec!r} must be d,r with integers d and r") from None
+    return d, r
+
+
 def _render_table(report, elapsed):
     out = []
     inp = report["input"]
@@ -132,10 +141,7 @@ def cmd_analyze(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        cells = []
-        for spec in args.ghw or ():
-            d, r = spec.split(",")
-            cells.append((int(d), int(r)))
+        cells = [_parse_ghw_cell(spec) for spec in args.ghw or ()]
         order = _parse_order(args.order) if args.order else None
         if args.budget is not None and args.budget < 0:
             raise ValueError(f"--budget must be non-negative, got {args.budget}")

@@ -11,13 +11,20 @@ import numpy as np
 
 from . import linalg
 from .errors import (
-    BudgetExceeded,
     ConditionFailed,
     InternalInconsistency,
     NotEssential,
     NotGorenstein,
 )
-from .codes import LinearCode, dual_code, min_distance
+# min_distance is not called here, but perfbench's tracer test reads
+# duality.min_distance as one of its name-imported bindings
+from .codes import (  # noqa: F401
+    LinearCode,
+    dual_code,
+    macwilliams,
+    min_distance,
+    weight_distribution,
+)
 from .groebner import standard_monomials_upto
 from .polyring import monomial_mul, monomial_support
 
@@ -77,35 +84,45 @@ def global_duality(A):
             witness = {"reason": "hilbert_sum", "d": bad, "sum": hsum(bad), "m": m}
         return DualityCertificate(symmetric_sum, v_all_r0, False, None, [], witness)
 
-    C_r0m1 = A.code(r0 - 1)
-    if C_r0m1.dimension != m - 1:
+    if A.code(r0 - 1).dimension != m - 1:
         raise InternalInconsistency("H(r0-1) must be m-1 when condition (b) holds")
-    N = A.dual(r0 - 1).basis
-    if N.shape[0] != 1:
+    D = A.dual(r0 - 1)
+    if D.dimension != 1:
         raise InternalInconsistency("parity-check space must be one-dimensional")
-    beta = N[0]
+    beta = D.basis[0]
     if np.any(beta == 0):
         raise InternalInconsistency("parity-check vector must have no zero entry")
 
-    verified = []
-    for d in range(r0 + 1):
-        rhs_code = A.code(r0 - d - 1)
-        rhs = rhs_code.scaled(beta) if rhs_code.dimension else rhs_code
-        if not A.dual(d) == rhs:
-            raise InternalInconsistency(
-                f"direct duality verification failed at degree {d}"
-            )
-        verified.append(d)
+    verified = verify_duality(A, beta)
 
-    try:
-        if r0 >= 1 and min_distance(C_r0m1) != 2:
+    if r0 >= 1:
+        # the dual is one scalar class: its weights give C's by MacWilliams
+        weights = macwilliams(weight_distribution(D), m - 1, A.X.field.q)
+        if next(w for w in range(1, m + 1) if weights[w]) != 2:
             raise InternalInconsistency(
                 "min distance at degree r0-1 must be 2 under the criterion"
             )
-    except BudgetExceeded:
-        pass
 
     return DualityCertificate(True, True, True, [int(b) for b in beta], verified, None)
+
+
+def verify_duality(A, beta):
+    """C_X(d)^perp = beta . C_X(r0-d-1) for every degree d = 0..r0 of the
+    ``Analysis`` A; returns the degrees.  In each degree the dimensions,
+    read off the RREF bases, add up to m, and G_d (beta * G_(r0-d-1))^T = 0
+    puts the scaled code inside the dual: containment and equal dimension
+    give equality."""
+    f, m, r0 = A.X.field, A.X.m, A.hd.r0
+    beta = f.arr(beta)
+    for d in range(r0 + 1):
+        G, H = A.code(d).basis, A.code(r0 - d - 1).basis
+        if G.shape[0] + H.shape[0] != m or np.any(
+            f.matmul(G, f.mul_arr(H, beta[None, :]).T)
+        ):
+            raise InternalInconsistency(
+                f"direct duality verification failed at degree {d}"
+            )
+    return list(range(r0 + 1))
 
 
 def gorenstein_crosscheck(cert, cls):
@@ -192,11 +209,16 @@ def local_duality_verify(A, gamma1, gamma2, t_e, projective_mode=False):
 
 def self_orthogonal(A, d):
     """C_X(d) subset of its dual, via the all-ones parity condition on
-    C_X(2d), cross-checked directly: G.G^T = 0 for the basis G of C_X(d)."""
+    C_X(2d), cross-checked directly: G.G^T = 0 for the basis G of C_X(d).
+    When H(2d) = m, C_X(2d) is all of F_q^m, and its unit vectors are not
+    orthogonal to the all-ones vector: the parity condition fails with no
+    degree-2d evaluation."""
     X = A.X
     f = X.field
-    monos2d = standard_monomials_upto(A.gb, X.s, 2 * d)[2 * d]
-    ones_in_dual = _ones_parity(f, X.eval_monomials(monos2d))
+    ones_in_dual = False
+    if A.hd.value(2 * d) != X.m:
+        monos2d = standard_monomials_upto(A.gb, X.s, 2 * d)[2 * d]
+        ones_in_dual = _ones_parity(f, X.eval_monomials(monos2d))
     G = A.code(d).basis
     if ones_in_dual != (not np.any(f.matmul(G, G.T))):
         raise InternalInconsistency(

@@ -363,16 +363,6 @@ class Field:
             out = self._add_t[out, prod] if i else prod
         return out
 
-    def pow_arr(self, a, e):
-        out = np.ones_like(np.asarray(a))
-        base = np.asarray(a)
-        while e:
-            if e & 1:
-                out = self.mul_arr(out, base)
-            base = self.mul_arr(base, base)
-            e >>= 1
-        return out
-
     # -- element codecs -------------------------------------------------------
 
     def coeffs_of(self, code):

@@ -152,13 +152,20 @@ def minimal_generator_count(gb, r0):
 
     The products g*w of the generators with the monomials w span I_d, so
     the minimal generators of degree d number dim I_d minus the rank of the
-    products with deg w >= 1.
+    products with deg w >= 1.  A rank is needed only in the degrees of the
+    basis above the lowest: in any other degree every g*w has deg w >= 1,
+    so I_d = S_1 I_(d-1) adds no generator, and in the lowest I_(d-1) = 0,
+    so the count there is dim I_d.
     """
+    degrees = sorted({g.homogeneous_degree() for g in gb.gens} & set(range(1, r0 + 2)))
+    if not degrees:
+        return 0
     nv = gb.nvars
-    layers = standard_monomials_upto(gb, nv, r0 + 1)
-    return sum(
+    layers = standard_monomials_upto(gb, nv, degrees[-1])
+    low, *rest = degrees
+    return _ideal_dim(layers, nv, low) + sum(
         _ideal_dim(layers, nv, d) - _products_rank(gb.field, gb.gens, nv, d, 1)
-        for d in range(1, r0 + 2)
+        for d in rest
     )
 
 

@@ -43,8 +43,8 @@ class PointSet:
     """Distinct points of P^{s-1} over a finite field.
 
     ``coords`` is an (m, s) array of element codes, one representative per
-    point; ``canonical`` is True when every representative has its last
-    nonzero coordinate scaled to 1.
+    point; with ``canonicalize`` each representative has its last nonzero
+    coordinate scaled to 1.
     """
 
     def __init__(self, field, coords, canonicalize=True, dedup=False):
@@ -73,16 +73,6 @@ class PointSet:
     @property
     def m(self):
         return self.coords.shape[0]
-
-    @property
-    def canonical(self):
-        return all(
-            tuple(int(x) for x in row) == _canonical_row(self.field, tuple(int(x) for x in row))
-            for row in self.coords
-        )
-
-    def canonicalized(self):
-        return PointSet(self.field, self.coords, canonicalize=True)
 
     def rescaled(self, lambdas):
         """The same projective set with representative i scaled by lambdas[i]."""

@@ -1,12 +1,20 @@
 """Buchberger's algorithm, an independent construction of the reduced
 Groebner basis of any homogeneous generators.  It is the oracle of
 ``variety.vanishing_ideal``, ``artinian.artinian_reduce`` and the golden
-corpus's comparison of stored generators."""
+corpus's comparison of stored generators.  The all-degree count of minimal
+generators is the oracle of ``groebner.minimal_generator_count``."""
 
 import heapq
 
 from rmcode.errors import RingMismatch, Unsupported
-from rmcode.groebner import GroebnerBasis, _spoly, normal_form
+from rmcode.groebner import (
+    GroebnerBasis,
+    _ideal_dim,
+    _products_rank,
+    _spoly,
+    normal_form,
+    standard_monomials_upto,
+)
 from rmcode.polyring import monomial_coprime, monomial_divides, monomial_lcm
 
 
@@ -69,3 +77,15 @@ def buchberger(gens, order):
         reduced.append(r.monic(order))
     reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
     return GroebnerBasis(order, reduced, certified=True)
+
+
+def minimal_generator_count_all_degrees(gb, r0):
+    """Minimal generators of the ideal of ``gb`` degree by degree for every
+    d = 1..r0 + 1: dim I_d minus the rank of the products g*w with
+    deg w >= 1."""
+    nv = gb.nvars
+    layers = standard_monomials_upto(gb, nv, r0 + 1)
+    return sum(
+        _ideal_dim(layers, nv, d) - _products_rank(gb.field, gb.gens, nv, d, 1)
+        for d in range(1, r0 + 2)
+    )

@@ -14,7 +14,7 @@ from rmcode.gf import Field
 from rmcode.golden import CORPUS, load_entry
 from rmcode.groebner import GroebnerBasis, standard_monomials_upto
 from rmcode.polyring import GREVLEX, TermOrder, monomial_divides, monomials_of_degree
-from rmcode.variety import PointSet, points_parse, vanishing_ideal
+from rmcode.variety import PointSet, format_points, points_parse, points_torus, vanishing_ideal
 
 EVERY_FLAG = AnalysisRequest(
     duality=True,
@@ -113,6 +113,50 @@ def test_selfdual_run_tests_self_orthogonality_once_per_degree(monkeypatch):
     assert report["hilbert"]["r0"] == 9
     assert report["self_duality"]["self_dual_degrees"] == [4]
     assert calls == collections.Counter({d: 3 if d == 4 else 1 for d in range(10)})
+
+
+def test_certificates_compute_only_what_their_answer_needs(monkeypatch):
+    """On the torus in P^2(F_5), whose reduced basis lies in degree 4, a
+    duality + gorenstein + selfdual analysis ranks no products for the
+    minimal generators, builds one dual inside global_duality (the parity
+    check of C_X(r0-1), whose minimum distance it also checks), and builds
+    no staircase layer above r0 + 1 inside the self-dual report."""
+    X = points_torus(3, Field(5))
+    text = format_points(X.field, X.s, X.coords.tolist())
+    assert {g.homogeneous_degree() for g in Analysis(X).gb.gens} == {4}
+    within = []
+
+    def inside(fn):
+        def wrapped(*args):
+            within.append(fn.__name__)
+            try:
+                return fn(*args)
+            finally:
+                within.pop()
+
+        _rebind(monkeypatch, fn, wrapped)
+
+    def where(*args):
+        return within[-1] if within else None
+
+    inside(duality.global_duality)
+    inside(duality.self_dual_report)
+    ranks = _count_calls(monkeypatch, groebner._products_rank, where)
+    duals = _count_calls(monkeypatch, codes.dual_code, where)
+    mdist = _count_calls(monkeypatch, codes.macwilliams, where)
+    layers = _count_calls(
+        monkeypatch,
+        groebner._next_layer,
+        lambda layer, *_: (where(), sum(layer[0]) + 1 if layer else 0),
+    )
+    req = AnalysisRequest(duality=True, gorenstein=True, selfdual=True, budget=0)
+    report, _ = analyze_text(text, req)
+    r0 = report["hilbert"]["r0"]
+    assert report["duality"]["holds"] and r0 == 6
+    assert report["vanishing_ideal"]["minimal_generators"] == 2
+    assert sum(ranks.values()) == 0
+    assert duals["global_duality"] == 1 and mdist["global_duality"] == 1
+    assert all(d <= r0 + 1 for where_, d in layers if where_ == "self_dual_report")
 
 
 def test_cached_codes_are_shared_and_read_only(F3):

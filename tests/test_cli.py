@@ -221,6 +221,15 @@ def test_budget_env_override(frame_points_file, capsys, monkeypatch):
     assert report["budgets"]["subspace_default"] == 123456
 
 
+@pytest.mark.parametrize("cell", ["x", "1,2,3", "a,b", "1", ""])
+def test_analyze_ghw_cell_malformed(frame_points_file, capsys, cell):
+    assert main(["analyze", frame_points_file, "--ghw", cell]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"ghw cell {cell!r} must be d,r with integers d and r" in err
+    assert "unpack" not in err and "invalid literal" not in err
+
+
 @pytest.mark.parametrize("cell", ["9,9", "1,0", "0,1", "2,6"])
 def test_analyze_ghw_cell_out_of_range(frame_points_file, capsys, cell):
     # the five-point frame has H = (1, 4, 5), so dim C_X(d) is 4 or 5

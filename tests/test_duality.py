@@ -20,12 +20,15 @@ from rmcode.duality import (
     local_duality_verify,
     self_dual,
     self_dual_report,
+    self_orthogonal,
+    verify_duality,
 )
-from rmcode.errors import ConditionFailed, NotEssential, NotGorenstein
+from rmcode.errors import ConditionFailed, InternalInconsistency, NotEssential, NotGorenstein
 from rmcode.gf import Field
+from rmcode.golden import CORPUS, load_entry
 from rmcode.groebner import normal_form, standard_monomials_upto
-from rmcode.polyring import Poly, monomial_mul, monomial_support, parse_monomial
-from rmcode.variety import PointSet, points_full_projective, points_torus
+from rmcode.polyring import GREVLEX, Poly, TermOrder, monomial_mul, monomial_support, parse_monomial
+from rmcode.variety import PointSet, points_full_projective, points_parse, points_torus
 from rmcode.artinian import classify
 
 
@@ -100,6 +103,94 @@ def test_gorenstein_beta_from_indicators(five_points_frame, nine_points, F3):
         lc = [fi.leading_coeff(A.gb.order) for fi in isx.fs]
         beta_ind = [f.div(c, v) for c, v in zip(lc, isx.values)]
         assert _proportional(f, beta_ind, cert.beta)
+
+
+def _verify_duality_by_rref(A, beta):
+    """Oracle: C_X(d)^perp and beta . C_X(r0-d-1) built and compared as
+    RREF bases in every degree 0..r0."""
+    r0 = A.hd.r0
+    for d in range(r0 + 1):
+        rhs = A.code(r0 - d - 1)
+        if A.dual(d) != (rhs.scaled(beta) if rhs.dimension else rhs):
+            return False
+    return True
+
+
+def _golden_analyses():
+    """The ``Analysis`` of every golden set under its own order and glex."""
+    for name in CORPUS:
+        X, order = points_parse(load_entry(name)[0])
+        for o in {order or GREVLEX, TermOrder("glex")}:
+            yield name, Analysis(X, o)
+
+
+def test_duality_verification_matches_the_rref_oracle():
+    """On every golden set meeting the criterion the orthogonality product
+    and the RREF comparison both accept beta, and both reject beta with any
+    single entry changed."""
+    holding = 0
+    for name, A in _golden_analyses():
+        cert = global_duality(A)
+        if not cert.holds:
+            continue
+        holding += 1
+        f = A.X.field
+        assert verify_duality(A, cert.beta) == cert.verified_degrees
+        assert _verify_duality_by_rref(A, cert.beta)
+        for i in range(A.X.m):
+            for b in range(1, f.q):
+                if b == cert.beta[i]:
+                    continue
+                wrong = list(cert.beta)
+                wrong[i] = b
+                assert not _verify_duality_by_rref(A, wrong)
+                with pytest.raises(InternalInconsistency, match="duality verification"):
+                    verify_duality(A, wrong)
+    assert holding >= 4
+
+
+def test_global_duality_fails_on_a_wrong_beta(five_points_frame, monkeypatch):
+    """A parity-check vector with one entry changed does not pass."""
+    from rmcode import duality
+
+    real = duality.verify_duality
+
+    def with_wrong_entry(A, beta):
+        wrong = list(beta)
+        wrong[0] = A.X.field.add(int(wrong[0]), 1)
+        return real(A, wrong)
+
+    monkeypatch.setattr(duality, "verify_duality", with_wrong_entry)
+    with pytest.raises(InternalInconsistency, match="degree 0"):
+        global_duality(five_points_frame)
+
+
+def test_global_duality_checks_min_distance_two(five_points_frame, monkeypatch):
+    """The minimum distance of C_X(r0-1) comes from its one-class dual by
+    MacWilliams, with no budget, and a wrong answer is a trap."""
+    from rmcode import duality
+
+    assert global_duality(five_points_frame).holds
+    monkeypatch.setattr(
+        duality, "macwilliams", lambda B, k, q: [1, 1] + [0] * (len(B) - 2)
+    )
+    with pytest.raises(InternalInconsistency, match="min distance"):
+        global_duality(five_points_frame)
+
+
+def test_parity_shortcut_matches_the_evaluation_route():
+    """Where 2d >= r0, H(2d) = m and self_orthogonal answers False with no
+    degree-2d evaluation; the all-ones parity of the evaluations of the
+    degree-2d standard monomials says the same."""
+    seen = 0
+    for _, A in _golden_analyses():
+        X, r0 = A.X, A.hd.r0
+        for d in range((r0 + 1) // 2, r0 + 1):
+            assert A.hd.value(2 * d) == X.m
+            layer = standard_monomials_upto(A.gb, X.s, 2 * d)[2 * d]
+            assert self_orthogonal(A, d) == _ones_parity(X.field, X.eval_monomials(layer))
+            seen += 1
+    assert seen
 
 
 def test_local_duality_nine_points(nine_points, F3):

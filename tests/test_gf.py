@@ -14,6 +14,8 @@ from rmcode.errors import (
 )
 from rmcode.gf import BUILTIN_MODULI, Field, _poly_mulmod, search_modulus
 
+from gf_oracle import pow_arr
+
 
 def _is_prime(n):
     return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
@@ -136,10 +138,10 @@ def test_frobenius_and_unit_group_exhaustive(q):
     X = np.broadcast_to(xs[:, None], (q, q))
     Y = np.broadcast_to(xs[None, :], (q, q))
     assert np.array_equal(
-        F.pow_arr(F.add_arr(X, Y), F.p),
-        F.add_arr(F.pow_arr(X, F.p), F.pow_arr(Y, F.p)),
+        pow_arr(F, F.add_arr(X, Y), F.p),
+        F.add_arr(pow_arr(F, X, F.p), pow_arr(F, Y, F.p)),
     )
-    assert np.all(F.pow_arr(xs[1:], q - 1) == 1)
+    assert np.all(pow_arr(F, xs[1:], q - 1) == 1)
     # multiplicative orders against stepping through the powers
     stepped = {}
     for x in range(1, q):

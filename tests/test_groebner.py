@@ -27,7 +27,7 @@ from rmcode.polyring import (
 from rmcode.variety import PointSet, points_full_projective, points_parse
 
 from footprint_oracle import MonomialIdeal, monomial_colon, monomial_dim_degree
-from groebner_oracle import buchberger
+from groebner_oracle import buchberger, minimal_generator_count_all_degrees
 
 
 def test_buchberger_quartic_completion(F4):
@@ -189,9 +189,11 @@ def _minimal_generator_count_two_ranks(gb, r0):
 
 
 def test_minimal_generator_count_matches_the_two_rank_oracle():
-    """The staircase count of dim I_d plus one rank per degree equals two
-    ranks per degree on the golden corpus under grevlex and glex and on
-    seeded random sets over prime and extension fields."""
+    """Ranking products only at the basis degrees above the lowest equals
+    one rank in every degree 1..r0 + 1, and two ranks per degree, on the
+    golden corpus under grevlex and glex and on 120 seeded random sets over
+    prime and extension fields, many with bases spread over several
+    degrees."""
     orders = (GREVLEX, TermOrder("glex"))
     cases = []
     for name in CORPUS:
@@ -199,16 +201,20 @@ def test_minimal_generator_count_matches_the_two_rank_oracle():
         cases += [(X, order) for order in orders]
     rng = random.Random(6060)
     fields = [Field(2), Field(3), Field(5), Field(7), Field(2, 2), Field(3, 2), Field(2, 3)]
-    for trial in range(24):
+    for trial in range(120):
         f = fields[trial % len(fields)]
         s = rng.choice([2, 3, 4])
         points = points_full_projective(s, f).coords.tolist()
         rows = rng.sample(points, rng.randint(2, min(12, len(points))))
         cases.append((PointSet(f, rows), orders[trial % 2]))
+    spread = 0
     for X, order in cases:
         A = Analysis(X, order)
-        want = _minimal_generator_count_two_ranks(A.gb, A.hd.r0)
-        assert minimal_generator_count(A.gb, A.hd.r0) == want
+        got = minimal_generator_count(A.gb, A.hd.r0)
+        assert got == minimal_generator_count_all_degrees(A.gb, A.hd.r0)
+        assert got == _minimal_generator_count_two_ranks(A.gb, A.hd.r0)
+        spread += len({g.homogeneous_degree() for g in A.gb.gens}) > 1
+    assert spread >= 50
 
 
 def test_monomial_ideal_guard():

@@ -70,12 +70,19 @@ def test_point_validation(F3):
         PointSet(F3, [[1, 0]])
 
 
+def _is_canonical(X):
+    """Every representative has its last nonzero coordinate equal to 1."""
+    return all(row[np.flatnonzero(row)[-1]] == 1 for row in X.coords)
+
+
 def test_canonicalization(F3):
     X = PointSet(F3, [[1, 0, 2], [0, 1, 0]], canonicalize=False)
-    assert not X.canonical
-    C = X.canonicalized()
-    assert C.canonical
-    assert C.canonicalized().coords.tolist() == C.coords.tolist()  # idempotent
+    assert not _is_canonical(X)
+    C = PointSet(F3, X.coords, canonicalize=True)
+    assert _is_canonical(C)
+    assert C.coords.tolist() == [[2, 0, 1], [0, 1, 0]]
+    # idempotent
+    assert PointSet(F3, C.coords, canonicalize=True).coords.tolist() == C.coords.tolist()
 
 
 def test_vanishing_ideal_golden_trio(four_points, nine_points, F3):
