@@ -25,7 +25,7 @@ from .variety import (
     symmetry_equiv_check,
     vanishing_ideal,
 )
-from .indicators import IndicatorSet, colon_witness, standard_indicators
+from .indicators import IndicatorSet, standard_indicators
 from .codes import (
     LinearCode,
     WeightMatrix,
@@ -43,7 +43,6 @@ from .duality import (
     gorenstein_crosscheck,
     gorenstein_selfdual_classify,
     local_duality_verify,
-    self_dual,
     self_dual_report,
     self_orthogonal,
 )

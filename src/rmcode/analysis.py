@@ -256,8 +256,8 @@ def analyze_text(text, req=None):
         if not rep["self_dual_degrees"]:
             negatives.append("selfdual")
         if cls is not None and cls.gorenstein:
-            report["self_duality"]["gorenstein_classification"] = (
-                gorenstein_selfdual_classify(A, cls)
+            rep["gorenstein_classification"] = gorenstein_selfdual_classify(
+                A, cls, rep
             )
 
     return report, negatives

@@ -23,7 +23,7 @@ from .errors import (
     RMCodeError,
     Unsupported,
 )
-from .gf import PRIME_LIMIT, Field, is_prime
+from .gf import PRIME_LIMIT, TABLE_LIMIT, Field, is_prime, search_modulus
 from .golden import CORPUS, run_corpus
 from .polyring import TermOrder
 from .variety import format_points, points_full_projective, points_parameterized, points_torus
@@ -177,7 +177,9 @@ def cmd_generate(args):
     if args.kind != "parameterized" and not args.vars:
         raise InvalidParams(f"{args.kind} needs --vars")
     p, k = _prime_power(args.q)
-    f = Field(p, k)
+    # the built-in modulus where there is one, else the smallest irreducible;
+    # Field rejects an extension field above the table limit
+    f = Field(p, k, search_modulus(p, k) if args.q <= TABLE_LIMIT else None)
     if args.kind == "projective":
         ps = points_full_projective(args.vars, f)
         header = (f"all points of P^{args.vars - 1} over F_{f.q}",)

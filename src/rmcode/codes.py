@@ -42,17 +42,16 @@ class LinearCode:
     field: object
     length: int
     basis: np.ndarray  # k x m, RREF
-    provenance: tuple = ()
 
     @classmethod
-    def from_rows(cls, field, rows, length=None, provenance=()):
+    def from_rows(cls, field, rows, length=None):
         rows = field.arr(rows)
         if rows.size == 0:
             if length is None:
                 raise ValueError("zero code needs an explicit length")
-            return cls(field, length, np.zeros((0, length), dtype=np.int64), provenance)
+            return cls(field, length, np.zeros((0, length), dtype=np.int64))
         R, _ = linalg.rref(field, rows.reshape(-1, rows.shape[-1]))
-        return cls(field, rows.shape[-1], R, provenance)
+        return cls(field, rows.shape[-1], R)
 
     @property
     def dimension(self):
@@ -96,12 +95,10 @@ class LinearCode:
 def code_of_degree(X, gb, d):
     """C_X(d): the row space of the degree-d standard-monomial evaluations."""
     if d < 0:
-        return LinearCode(
-            X.field, X.m, np.zeros((0, X.m), dtype=np.int64), provenance=("X", d)
-        )
+        return LinearCode(X.field, X.m, np.zeros((0, X.m), dtype=np.int64))
     monos = standard_monomials_upto(gb, X.s, d)[d]
     rows = X.eval_monomials(monos)
-    C = LinearCode.from_rows(X.field, rows, length=X.m, provenance=("X", d))
+    C = LinearCode.from_rows(X.field, rows, length=X.m)
     if C.dimension != len(monos):
         # the evaluation map is injective on the span of standard monomials
         raise InternalInconsistency(
@@ -114,7 +111,7 @@ def dual_code(C):
     """C^perp as an RREF nullspace basis, read off the RREF basis of C."""
     f = C.field
     N = linalg.rref_nullspace(f, C.basis, C.pivots)
-    return LinearCode(f, C.length, N, provenance=("dual",) + C.provenance)
+    return LinearCode(f, C.length, N)
 
 
 def gaussian_binomial(k, r, q):

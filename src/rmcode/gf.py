@@ -35,8 +35,7 @@ PRIME_LIMIT = 2**31
 
 # Canonical monic moduli for the small extension fields used throughout
 # (ascending coefficients, degree-k entry = 1).  For every entry the basis
-# root `a` itself has multiplicative order q-1, so the designated generator
-# always prints as `a`.
+# root `a` itself has multiplicative order q-1: it generates the unit group.
 BUILTIN_MODULI = {
     4: (1, 1, 1),
     8: (1, 1, 0, 1),
@@ -198,6 +197,10 @@ class Field:
         self.p = p
         self.k = k
         self.q = p**k
+        if k > 1 and self.q > TABLE_LIMIT:
+            raise Unsupported(
+                f"extension fields are table driven and limited to q <= {TABLE_LIMIT}"
+            )
         if k == 1:
             self.modulus = (0, 1)
         else:
@@ -216,13 +219,7 @@ class Field:
             if not is_irreducible(modulus, p):
                 raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
             self.modulus = modulus
-        if k > 1 and self.q > TABLE_LIMIT:
-            raise Unsupported(
-                f"extension fields are table driven and limited to q <= {TABLE_LIMIT}"
-            )
         self._init_tables()
-        self._unit_primes = prime_factors(self.q - 1)
-        self.generator = self._find_primitive()
 
     # -- construction of arithmetic ----------------------------------------
 
@@ -251,23 +248,6 @@ class Field:
         self._mul_t = mul
         self._neg_t = np.argmax(self._add_t == 0, axis=1)
         self._inv_t = np.argmax(mul == 1, axis=1)
-
-    def _order_of(self, code):
-        # the order divides q-1; strip each prime l while code^(n/l) = 1, so
-        # a primitive code costs one square-and-multiply power per prime
-        if code == 0:
-            return 0
-        n = self.q - 1
-        for ell in self._unit_primes:
-            while n % ell == 0 and self.pow_(code, n // ell) == 1:
-                n //= ell
-        return n
-
-    def _find_primitive(self):
-        for code in range(1, self.q):
-            if self._order_of(code) == self.q - 1:
-                return code
-        raise AssertionError("no primitive element found")  # unreachable
 
     # -- scalar arithmetic on codes -----------------------------------------
 

@@ -192,20 +192,12 @@ def run_entry(name, expected=None, budget=None):
         )
         res.record("dual_pairs_direct", ok)
 
+    sd_report = None
     if "self_orthogonal_degrees" in exp or "self_dual_degrees" in exp:
-        rep = self_dual_report(A)
-        if "self_orthogonal_degrees" in exp:
-            res.record(
-                "self_orthogonal_degrees",
-                rep["self_orthogonal_degrees"] == exp["self_orthogonal_degrees"],
-                str(rep["self_orthogonal_degrees"]),
-            )
-        if "self_dual_degrees" in exp:
-            res.record(
-                "self_dual_degrees",
-                rep["self_dual_degrees"] == exp["self_dual_degrees"],
-                str(rep["self_dual_degrees"]),
-            )
+        sd_report = self_dual_report(A)
+        for key in ("self_orthogonal_degrees", "self_dual_degrees"):
+            if key in exp:
+                res.record(key, sd_report[key] == exp[key], str(sd_report[key]))
 
     cls = None
     if "gorenstein" in exp:
@@ -260,24 +252,27 @@ def run_entry(name, expected=None, budget=None):
             ok = rep["lambdas"] == want
         res.record("socle", ok, f"t^a={cls.socle_monomial} lambdas={rep['lambdas']}")
 
-    if "point_matrix_self_dual_at_1" in exp and cls is not None:
-        rep = gorenstein_selfdual_classify(A, cls)
-        entry = next(e for e in rep if e["d"] == 1)
+    classified = None
+    if cls is not None and (
+        "point_matrix_self_dual_at_1" in exp or "monomially_self_dual_degrees" in exp
+    ):
+        classified = gorenstein_selfdual_classify(A, cls, sd_report)
+    if "point_matrix_self_dual_at_1" in exp and classified is not None:
+        entry = next(e for e in classified if e["d"] == 1)
         res.record(
             "point_matrix_self_dual_at_1",
             entry.get("point_matrix_self_dual") == exp["point_matrix_self_dual_at_1"],
             str(entry),
         )
-    if "monomially_self_dual_degrees" in exp and cls is not None:
-        rep = gorenstein_selfdual_classify(A, cls)
-        got = [e["d"] for e in rep if e["monomially_self_dual"]]
+    if "monomially_self_dual_degrees" in exp and classified is not None:
+        got = [e["d"] for e in classified if e["monomially_self_dual"]]
         res.record(
             "monomially_self_dual_degrees",
             got == exp["monomially_self_dual_degrees"],
             str(got),
         )
         # a monomially self-dual degree carries a verified witness
-        for e in rep:
+        for e in classified:
             if e["monomially_self_dual"] and cert is not None and cert.holds:
                 ok = monomially_equivalent(A.code(e["d"]), A.dual(e["d"]), cert.beta)
                 res.record("monomial_equivalence_witness", ok, f"d={e['d']}")

@@ -120,27 +120,3 @@ def standard_indicators(A):
         support &= set(g.terms)
     essential = order.sorted_desc(support)
     return IndicatorSet(fs, values.tolist(), degrees, essential, r0)
-
-
-def colon_witness(A, i):
-    """f_i of the ``Analysis`` A, re-verified: correct vanishing pattern,
-    and no standard polynomial of smaller degree separates P_i (the system
-    at degree v_i - 1 is infeasible)."""
-    X, isx = A.X, A.isx
-    f = X.field
-    fi = isx.fs[i]
-    vi = isx.degrees[i]
-    vec = X.eval_polys([fi])[0]
-    if vec[i] == 0 or any(vec[j] != 0 for j in range(X.m) if j != i):
-        raise InternalInconsistency(f"f_{i + 1} does not vanish exactly off P_{i + 1}")
-    if vi > 0:
-        monos = standard_monomials_upto(A.gb, X.s, vi - 1)[vi - 1]
-        if monos:
-            E = X.eval_monomials(monos)
-            e_i = np.zeros(X.m, dtype=np.int64)
-            e_i[i] = 1
-            if linalg.solve(f, E.T, e_i) is not None:
-                raise InternalInconsistency(
-                    f"a separator of degree {vi - 1} < v_i exists"
-                )
-    return fi

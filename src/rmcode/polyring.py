@@ -225,24 +225,6 @@ class Poly:
     def coeff(self, u):
         return self.terms.get(tuple(u), 0)
 
-    # evaluation
-
-    def evaluate(self, point):
-        """Exact value at a coordinate list of codes."""
-        if len(point) != self.nvars:
-            raise DimensionMismatch(
-                f"point has {len(point)} coordinates, ring has {self.nvars}"
-            )
-        f = self.field
-        total = 0
-        for u, c in self.terms.items():
-            val = c
-            for x, e in zip(point, u):
-                if e:
-                    val = f.mul(val, f.pow_(int(x), e))
-            total = f.add(total, val)
-        return total
-
     # text form
 
     def to_str(self, order=GREVLEX):

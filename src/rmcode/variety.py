@@ -74,14 +74,6 @@ class PointSet:
     def m(self):
         return self.coords.shape[0]
 
-    def rescaled(self, lambdas):
-        """The same projective set with representative i scaled by lambdas[i]."""
-        f = self.field
-        lam = f.arr(lambdas)
-        if np.any(lam == 0):
-            raise ZeroPoint("scaling factors must be nonzero")
-        return PointSet(f, f.mul_arr(self.coords, lam[:, None]), canonicalize=False)
-
     def lift(self, big):
         """Coordinatewise image in an extension field."""
         table = self.field.embedding_into(big)
@@ -180,18 +172,28 @@ def parse_points_text(text):
 
     Line 1: ``field p k [m_0 ... m_k]``; line 2: ``vars s``; optional
     ``order grevlex|glex perm=i1,...,is``; then one point per line as
-    whitespace-separated element literals.  ``#`` starts a comment.
+    whitespace-separated element literals.  ``#`` starts a comment.  Each
+    header line appears at most once, before the first point.
     """
     field = None
     s = None
     order = None
     rows = []
+    headers = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         try:
+            if parts[0] in ("field", "vars", "order"):
+                if rows:
+                    raise ParseError(
+                        f"`{parts[0]}` line after the point rows", line=lineno
+                    )
+                if parts[0] in headers:
+                    raise ParseError(f"repeated `{parts[0]}` line", line=lineno)
+                headers.add(parts[0])
             if parts[0] == "field":
                 if len(parts) < 3:
                     raise ParseError("field line needs `field p k`", line=lineno)
@@ -199,10 +201,16 @@ def parse_points_text(text):
                 modulus = [int(x) for x in parts[3:]] or None
                 field = Field(p, k, modulus)
             elif parts[0] == "vars":
+                if len(parts) < 2:
+                    raise ParseError("vars line needs `vars s`", line=lineno)
                 s = int(parts[1])
                 if s < 1:
                     raise ParseError("vars must be positive", line=lineno)
             elif parts[0] == "order":
+                if len(parts) < 2:
+                    raise ParseError(
+                        "order line needs `order grevlex|glex`", line=lineno
+                    )
                 kind = parts[1]
                 perm = ()
                 for extra in parts[2:]:

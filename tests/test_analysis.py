@@ -11,7 +11,7 @@ import pytest
 from rmcode import codes, duality, groebner
 from rmcode.analysis import Analysis, AnalysisRequest, analyze_text
 from rmcode.gf import Field
-from rmcode.golden import CORPUS, load_entry
+from rmcode.golden import CORPUS, load_entry, run_entry
 from rmcode.groebner import GroebnerBasis, standard_monomials_upto
 from rmcode.polyring import GREVLEX, TermOrder, monomial_divides, monomials_of_degree
 from rmcode.variety import PointSet, format_points, points_parse, points_torus, vanishing_ideal
@@ -47,10 +47,31 @@ def _count_calls(monkeypatch, fn, key):
     return counts
 
 
+def _track(monkeypatch, *fns):
+    """Route every rmcode binding of each of ``fns`` through a wrapper that
+    records it while it runs; returns a key function naming the innermost
+    one running (None outside all of them)."""
+    within = []
+
+    def tracked(fn):
+        def wrapped(*args, **kwargs):
+            within.append(fn.__name__)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                within.pop()
+
+        return wrapped
+
+    for fn in fns:
+        _rebind(monkeypatch, fn, tracked(fn))
+    return lambda *args: within[-1] if within else None
+
+
 @pytest.mark.parametrize("name", ["projective_plane_f3", "gorenstein_five_points"])
 def test_analyze_builds_each_code_and_dual_once(name, monkeypatch):
     built = _count_calls(monkeypatch, codes.code_of_degree, lambda X, gb, d: d)
-    duals = _count_calls(monkeypatch, codes.dual_code, lambda C: C.provenance)
+    duals = _count_calls(monkeypatch, codes.dual_code, id)
     report, _ = analyze_text(load_entry(name)[0], EVERY_FLAG)
     r0 = report["hilbert"]["r0"]
     assert set(built) >= set(range(1, r0 + 1))
@@ -108,11 +129,49 @@ def test_selfdual_run_tests_self_orthogonality_once_per_degree(monkeypatch):
     calls = _count_calls(monkeypatch, duality.self_orthogonal, lambda A, d: d)
     req = AnalysisRequest(duality=True, gorenstein=True, selfdual=True)
     report, _ = analyze_text(load_entry("projective_line_f9")[0], req)
-    # r0 = 9 and m = 10 = 2 H(4): degree 4 is self-dual, and the self-dual
-    # report and the Gorenstein classification each test it once more
+    # r0 = 9 and m = 10 = 2 H(4): degree 4 is self-dual, and the Gorenstein
+    # classification reads it off the self-dual report
     assert report["hilbert"]["r0"] == 9
     assert report["self_duality"]["self_dual_degrees"] == [4]
-    assert calls == collections.Counter({d: 3 if d == 4 else 1 for d in range(10)})
+    assert report["self_duality"]["gorenstein_classification"][3]["self_dual"]
+    assert calls == collections.Counter(range(10))
+
+
+def test_self_duality_builds_no_dual_and_no_code(monkeypatch):
+    """With the codes of the analysis built, the self-dual report, the
+    Gorenstein classification and local duality build no dual and no code,
+    and the classification evaluates no monomial layer."""
+    where = _track(
+        monkeypatch,
+        duality.self_dual_report,
+        duality.gorenstein_selfdual_classify,
+        duality.local_duality_verify,
+    )
+    duals = _count_calls(monkeypatch, codes.dual_code, where)
+    layers = _count_calls(monkeypatch, groebner.standard_monomials_upto, where)
+    built, evaluated = collections.Counter(), collections.Counter()
+    real_from_rows, real_eval = codes.LinearCode.from_rows, PointSet.eval_monomials
+
+    def from_rows(cls, *args, **kwargs):
+        built[where()] += 1
+        return real_from_rows(*args, **kwargs)
+
+    def eval_monomials(self, monomials):
+        evaluated[where()] += 1
+        return real_eval(self, monomials)
+
+    monkeypatch.setattr(codes.LinearCode, "from_rows", classmethod(from_rows))
+    monkeypatch.setattr(PointSet, "eval_monomials", eval_monomials)
+    req = AnalysisRequest(duality=True, gorenstein=True, selfdual=True)
+    report, _ = analyze_text(load_entry("projective_line_f9")[0], req)
+    assert report["self_duality"]["gorenstein_classification"]
+    for name in ("ci_four_points", "affine_plane_f3"):
+        res = run_entry(name)
+        assert res.passed and "local_duality" in [c for c, _, _ in res.checks]
+    inside = {"self_dual_report", "gorenstein_selfdual_classify", "local_duality_verify"}
+    assert {"self_dual_report", "local_duality_verify"} <= set(evaluated)
+    assert not inside & set(duals) and not inside & set(built)
+    assert not {"gorenstein_selfdual_classify"} & (set(layers) | set(evaluated))
 
 
 def test_certificates_compute_only_what_their_answer_needs(monkeypatch):
@@ -124,23 +183,7 @@ def test_certificates_compute_only_what_their_answer_needs(monkeypatch):
     X = points_torus(3, Field(5))
     text = format_points(X.field, X.s, X.coords.tolist())
     assert {g.homogeneous_degree() for g in Analysis(X).gb.gens} == {4}
-    within = []
-
-    def inside(fn):
-        def wrapped(*args):
-            within.append(fn.__name__)
-            try:
-                return fn(*args)
-            finally:
-                within.pop()
-
-        _rebind(monkeypatch, fn, wrapped)
-
-    def where(*args):
-        return within[-1] if within else None
-
-    inside(duality.global_duality)
-    inside(duality.self_dual_report)
+    where = _track(monkeypatch, duality.global_duality, duality.self_dual_report)
     ranks = _count_calls(monkeypatch, groebner._products_rank, where)
     duals = _count_calls(monkeypatch, codes.dual_code, where)
     mdist = _count_calls(monkeypatch, codes.macwilliams, where)

@@ -157,6 +157,49 @@ def test_generate_roundtrips_through_analyze(tmp_path, capsys):
     assert report["hilbert"]["r0"] == 3
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "field 2 2\nvars 2\na 1\nfield 3 1\n1 1\n",
+        "field 3 1\nvars 2\n1 0\nvars 3\n1 0 1\n",
+        "field 3 1\nvars 2\norder glex\norder grevlex\n1 0\n0 1\n",
+        "field 3 1\nvars 2\norder\n1 0\n0 1\n",
+    ],
+)
+def test_analyze_rejects_a_misplaced_header_line(tmp_path, capsys, text):
+    path = tmp_path / "late.points"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "(line " in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_generate_searches_a_modulus_outside_the_table(tmp_path, capsys):
+    assert main(["generate", "torus", "--q", "125", "--vars", "2"]) == 0
+    text = capsys.readouterr().out
+    assert "field 5 3 " in text
+    path = tmp_path / "f125.points"
+    path.write_text(text)
+    assert main(["analyze", str(path), "--json", "--budget", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["input"]["m"] == 124 and report["input"]["field"]["q"] == 125
+
+
+def test_generate_output_with_a_builtin_modulus_is_unchanged(capsys):
+    assert main(["generate", "torus", "--q", "9", "--vars", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "# projective torus in P^1 over F_9\nfield 3 2 2 2 1\nvars 2\n"
+        "1 1\n2 1\na 1\n1+a 1\n2+a 1\n2*a 1\n1+2*a 1\n2+2*a 1\n"
+    )
+
+
+def test_generate_rejects_an_extension_field_above_the_tables(capsys):
+    assert main(["generate", "torus", "--q", "2048", "--vars", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "q <= 1024" in captured.err
+
+
 def test_golden_command(capsys):
     assert main(["golden", "ci_four_points"]) == 0
     out = capsys.readouterr().out

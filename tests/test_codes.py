@@ -37,6 +37,7 @@ from rmcode.variety import (
 )
 
 from footprint_oracle import footprint, initial_ideal, is_saturated
+from pointwise_oracle import rescaled
 
 
 def test_code_of_degree_zero_and_r0(nine_points):
@@ -313,7 +314,7 @@ def test_representative_independence_of_weights(F3, F5):
             rows.append(row)
         X = PointSet(f, rows, canonicalize=False)
         lam = [rng.randrange(1, q) for _ in range(m)]
-        Y = X.rescaled(lam)
+        Y = rescaled(X, lam)
         gbX, gbY = vanishing_ideal(X), vanishing_ideal(Y)
         hdX = hilbert_data(gbX, m, nvars=s)
         for d in range(1, hdX.r0 + 1):

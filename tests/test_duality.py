@@ -1,4 +1,6 @@
+import collections
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from rmcode.duality import (
     gorenstein_crosscheck,
     gorenstein_selfdual_classify,
     local_duality_verify,
-    self_dual,
     self_dual_report,
     self_orthogonal,
     verify_duality,
@@ -30,6 +31,8 @@ from rmcode.groebner import normal_form, standard_monomials_upto
 from rmcode.polyring import GREVLEX, Poly, TermOrder, monomial_mul, monomial_support, parse_monomial
 from rmcode.variety import PointSet, points_full_projective, points_parse, points_torus
 from rmcode.artinian import classify
+
+import duality_oracle
 
 
 def _proportional(field, a, b):
@@ -297,11 +300,12 @@ def test_self_orthogonal_plane_f3(plane_f3):
 
 
 def test_self_dual_f4_example(F4):
-    a = F4.generator
+    a = F4.p  # the code of the basis root a, a generator of F_4^*
     a2 = F4.mul(a, a)
     X = PointSet(F4, [[1, 0, 1], [a, 0, 1], [a2, 0, 1], [0, 1, 1], [0, a2, 1], [0, a, 1]])
     A = Analysis(X)
-    assert self_dual(A, 1)
+    assert 1 in self_dual_report(A)["self_dual_degrees"]
+    assert duality_oracle.self_dual(A, 1)
     C = code_of_degree(X, A.gb, 1)
     assert dual_code(C) == C
     # C_X(1) is spanned by the columns of the point matrix
@@ -326,7 +330,7 @@ def test_gorenstein_selfdual_classification(F5, F4):
     assert by_d[1]["point_matrix_self_dual"] is False
     assert not any(e["monomially_self_dual"] for e in rep if e["d"] != 1)
 
-    a = F4.generator
+    a = F4.p
     a2 = F4.mul(a, a)
     A6 = Analysis(
         PointSet(F4, [[1, 0, 1], [a, 0, 1], [a2, 0, 1], [0, 1, 1], [0, a2, 1], [0, a, 1]])
@@ -407,3 +411,127 @@ def test_ones_parity_matches_the_elementwise_sum(p, k):
         assert _ones_parity(F, rows) == want
         hits += want
     assert 0 < hits < 60
+
+
+def _random_analyses(count, seed):
+    """``count`` seeded random subsets of P^1 and P^2 over F_2, F_3, F_4 and
+    F_5, each under grevlex and glex."""
+    rng = random.Random(seed)
+    fields = [Field(2), Field(3), Field(2, 2), Field(5)]
+    for _ in range(count):
+        f, s = rng.choice(fields), rng.choice([2, 3])
+        every = points_full_projective(s, f).coords
+        m = rng.randint(3, min(10, len(every)))
+        X = PointSet(f, every[rng.sample(range(len(every)), m)], canonicalize=False)
+        for order in (GREVLEX, TermOrder("glex")):
+            yield Analysis(X, order)
+
+
+def _oracle_analyses():
+    return [A for _, A in _golden_analyses()] + list(_random_analyses(60, seed=17))
+
+
+def test_self_duality_matches_the_rref_oracles():
+    """On the golden corpus and 60 seeded random sets, each under two
+    orders, the self-dual degrees equal those found by comparing C_X(d)
+    with its dual, and over a Gorenstein ideal the classification equals
+    the one that evaluates the degree-2d standard monomials."""
+    seen = collections.Counter()
+    for A in _oracle_analyses():
+        rep = self_dual_report(A)
+        assert rep["self_dual_degrees"] == duality_oracle.self_dual_degrees(A)
+        cls = classify(A)
+        if cls.gorenstein:
+            got = gorenstein_selfdual_classify(A, cls, rep)
+            assert got == duality_oracle.gorenstein_classification(A)
+            seen["gorenstein"] += 1
+            seen["strict"] += any(e["self_dual"] for e in got)
+        seen["self_dual"] += bool(rep["self_dual_degrees"])
+    assert seen["gorenstein"] >= 40 and seen["self_dual"] >= 10 and seen["strict"] >= 5
+
+
+def test_local_duality_matches_the_rref_oracle():
+    """On the golden corpus and 60 seeded random sets, each under two
+    orders, every split that meets conditions (1)-(3) passes both the one
+    product and the RREF comparison (up to 6 splits per essential monomial);
+    with one entry of gamma changed, the product raises exactly when the
+    RREF comparison rejects."""
+    rng = random.Random(5)
+    seen = collections.Counter()
+    for A in _oracle_analyses():
+        f, isx = A.X.field, A.isx
+        for t_e in isx.essential:
+            valid = 0
+            for g1, g2 in _splits(A, projective_mode=False):
+                if valid == 6:
+                    break
+                try:
+                    rep = local_duality_verify(A, g1, g2, t_e)
+                except ConditionFailed:
+                    continue
+                valid += 1
+                assert duality_oracle.local_duality(A, g1, g2, rep["gamma"])
+                seen["valid"] += 1
+                if f.q == 2:
+                    continue
+                i = rng.randrange(A.X.m)
+                unit = rng.randrange(2, f.q)
+                old = isx.values[i]
+                isx.values[i] = f.mul(unit, old)
+                try:
+                    wrong = list(rep["gamma"])
+                    wrong[i] = f.div(isx.fs[i].coeff(t_e), isx.values[i])
+                    if duality_oracle.local_duality(A, g1, g2, wrong):
+                        local_duality_verify(A, g1, g2, t_e)
+                        seen["changed_accepted"] += 1
+                    else:
+                        with pytest.raises(InternalInconsistency, match="local duality"):
+                            local_duality_verify(A, g1, g2, t_e)
+                        seen["changed_rejected"] += 1
+                finally:
+                    isx.values[i] = old
+    assert seen["valid"] >= 50 and seen["changed_rejected"] >= 20
+
+
+def test_gorenstein_classification_trap_runs_in_every_degree(monkeypatch):
+    """A self-dual report that marks a degree with r0 != 2d+1 self-dual
+    contradicts the classification, whichever degree it marks."""
+    from rmcode import duality
+
+    A = Analysis(PointSet(Field(5), [[1, 1], [2, 1], [3, 1], [4, 1]]))
+    cls = classify(A)
+    assert cls.gorenstein and A.hd.r0 == 3
+    real = self_dual_report(A)
+    assert gorenstein_selfdual_classify(A, cls, real)
+    for d in (2, 3):  # r0 = 3 = 2d+1 only at d = 1
+        marked = dict(real, self_dual_degrees=[d])
+        monkeypatch.setattr(duality, "self_dual_report", lambda A: marked)
+        with pytest.raises(InternalInconsistency, match="parity-check classification"):
+            gorenstein_selfdual_classify(A, cls)
+        with pytest.raises(InternalInconsistency, match="parity-check classification"):
+            gorenstein_selfdual_classify(A, cls, marked)
+
+
+def test_local_duality_rejects_a_changed_gamma_entry(nine_points, F3):
+    """With any one entry of gamma changed, gamma . ev(Gamma1) leaves
+    ev(Gamma2)^perp: the orthogonality product and the RREF comparison both
+    reject it."""
+    A = Analysis(nine_points.X)
+    g1 = [parse_monomial(3, t) for t in ("t1", "t2", "t3")]
+    g2 = [
+        parse_monomial(3, t)
+        for t in ("t1^2*t3", "t1*t2*t3", "t1*t3^2", "t2^2*t3", "t2*t3^2", "t3^3")
+    ]
+    t_e = parse_monomial(3, "t1^2*t2^2")
+    gamma = local_duality_verify(A, g1, g2, t_e)["gamma"]
+    assert duality_oracle.local_duality(A, g1, g2, gamma)
+    values = A.isx.values
+    for i in range(A.X.m):
+        old = values[i]
+        values[i] = F3.neg(old)
+        wrong = list(gamma)
+        wrong[i] = F3.neg(gamma[i])
+        assert not duality_oracle.local_duality(A, g1, g2, wrong)
+        with pytest.raises(InternalInconsistency, match="local duality"):
+            local_duality_verify(A, g1, g2, t_e)
+        values[i] = old

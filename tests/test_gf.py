@@ -14,7 +14,7 @@ from rmcode.errors import (
 )
 from rmcode.gf import BUILTIN_MODULI, Field, _poly_mulmod, search_modulus
 
-from gf_oracle import pow_arr
+from gf_oracle import order_of, pow_arr, primitive_element
 
 
 def _is_prime(n):
@@ -39,13 +39,13 @@ def _field_for(q):
 
 def test_field_create_prime():
     F = Field(3, 1)
-    assert F.q == 3 and F.generator == 2
+    assert F.q == 3 and primitive_element(F) == 2
 
 
 def test_field_create_with_modulus():
     F = Field(3, 2, [1, 0, 1])  # x^2 + 1
     assert F.q == 9
-    assert F.format_element(F.generator) == "1+a"
+    assert F.format_element(primitive_element(F)) == "1+a"
 
 
 def test_field_create_nonprime():
@@ -73,18 +73,25 @@ def test_inverse_examples():
 
 def test_generator_power_identity():
     F9 = Field(3, 2)
-    assert F9.pow_(F9.generator, F9.q - 1) == 1
+    assert F9.pow_(primitive_element(F9), F9.q - 1) == 1
 
 
 def _orders(F):
-    return {x: F._order_of(x) for x in range(1, F.q)}
+    return {x: order_of(F, x) for x in range(1, F.q)}
 
 
 def test_primitive_element_f4():
     F = Field(2, 2)
-    assert F.generator == F.p  # the basis root a
+    assert primitive_element(F) == F.p  # the basis root a
     # every element of F_4^* other than 1 has order 3
     assert all(o == 3 for x, o in _orders(F).items() if x != 1)
+
+
+@pytest.mark.parametrize("q", sorted(BUILTIN_MODULI))
+def test_builtin_root_generates_the_unit_group(q):
+    F = _field_for(q)
+    assert F.modulus == BUILTIN_MODULI[q]
+    assert order_of(F, F.p) == q - 1  # the code p is the basis root a
 
 
 def test_primitive_element_f9_x2_plus_1():
@@ -92,7 +99,7 @@ def test_primitive_element_f9_x2_plus_1():
     # independent oracle: exhaustive orders over the 8 nonzero elements
     orders = _orders(F)
     smallest = min(x for x, o in orders.items() if o == 8)
-    assert F.generator == smallest
+    assert primitive_element(F) == smallest
     assert F.format_element(smallest) == "1+a"
     # the basis root itself only has order 4 for this modulus
     assert orders[F.p] == 4
@@ -102,7 +109,7 @@ def test_primitive_element_f7():
     F = Field(7)
     orders = _orders(F)
     assert orders[3] == 6 and orders[2] == 3
-    assert F.generator == 3
+    assert primitive_element(F) == 3
 
 
 @pytest.mark.parametrize("q", ALL_Q)
@@ -150,7 +157,7 @@ def test_frobenius_and_unit_group_exhaustive(q):
             acc, n = F.mul(acc, x), n + 1
         stepped[x] = n
     assert _orders(F) == stepped
-    assert F.generator == min(x for x, n in stepped.items() if n == q - 1)
+    assert primitive_element(F) == min(x for x, n in stepped.items() if n == q - 1)
 
 
 def test_large_prime_field_builds_fast():
@@ -164,10 +171,11 @@ def test_large_prime_field_builds_fast():
     def primitive(g):
         return all(pow(g, (p - 1) // ell, p) != 1 for ell in primes)
 
-    assert primitive(F.generator)
-    assert not any(primitive(g) for g in range(1, F.generator))
-    assert F._order_of(F.generator) == p - 1
-    assert F._order_of(2) == 31  # 2^31 = 1 mod p
+    g = primitive_element(F)
+    assert primitive(g)
+    assert not any(primitive(x) for x in range(1, g))
+    assert order_of(F, g) == p - 1
+    assert order_of(F, 2) == 31  # 2^31 = 1 mod p
 
 
 def test_characteristic_bound():
@@ -277,8 +285,9 @@ def test_largest_table_field_builds_fast():
     t0 = time.perf_counter()
     F = Field(2, 10, modulus)
     assert time.perf_counter() - t0 < 3.0
-    assert F.q == 1024 and F._order_of(F.generator) == 1023
-    assert F.mul(F.generator, F.inv(F.generator)) == 1
+    g = primitive_element(F)
+    assert F.q == 1024 and order_of(F, g) == 1023
+    assert F.mul(g, F.inv(g)) == 1
 
 
 def _matmul_by_scalars(F, a, b):

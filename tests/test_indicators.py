@@ -8,7 +8,6 @@ from rmcode.analysis import Analysis
 from rmcode.errors import InternalInconsistency
 from rmcode.gf import Field
 from rmcode.golden import CORPUS, load_entry
-from rmcode.indicators import colon_witness
 from rmcode.groebner import standard_monomials_upto
 from rmcode.polyring import GREVLEX, Poly, TermOrder, parse_monomial, parse_poly
 from rmcode.variety import PointSet, points_parse
@@ -52,9 +51,29 @@ def test_v_equals_r0_when_all_agree(nine_points):
     assert nine_points.isx.v_number == nine_points.hd.r0
 
 
+def _colon_witness(A, i):
+    """f_i of the ``Analysis`` A, re-verified: correct vanishing pattern,
+    and no standard polynomial of smaller degree separates P_i (the system
+    at degree v_i - 1 is infeasible)."""
+    X, isx = A.X, A.isx
+    fi = isx.fs[i]
+    vi = isx.degrees[i]
+    vec = X.eval_polys([fi])[0]
+    if vec[i] == 0 or any(vec[j] != 0 for j in range(X.m) if j != i):
+        raise InternalInconsistency(f"f_{i + 1} does not vanish exactly off P_{i + 1}")
+    if vi > 0:
+        monos = standard_monomials_upto(A.gb, X.s, vi - 1)[vi - 1]
+        if monos:
+            e_i = np.zeros(X.m, dtype=np.int64)
+            e_i[i] = 1
+            if linalg.solve(X.field, X.eval_monomials(monos).T, e_i) is not None:
+                raise InternalInconsistency(f"a separator of degree {vi - 1} < v_i exists")
+    return fi
+
+
 def test_colon_witness_nine_points(nine_points, F3):
     isx = nine_points.isx
-    w = colon_witness(nine_points, 0)
+    w = _colon_witness(nine_points, 0)
     assert w == isx.fs[0]
     # infeasible at 3, feasible at 4: encoded in the degree
     assert isx.degrees[0] == 4
@@ -62,12 +81,12 @@ def test_colon_witness_nine_points(nine_points, F3):
 
 def test_colon_witness_two_points(F3):
     A = Analysis(PointSet(F3, [[1, 0], [0, 1]]))
-    w = colon_witness(A, 0)
+    w = _colon_witness(A, 0)
     assert w == parse_poly(F3, 2, "t1") and A.isx.degrees[0] == 1
 
 
 def test_colon_witness_ten_points_cubic(ten_points):
-    w = colon_witness(ten_points, 6)
+    w = _colon_witness(ten_points, 6)
     assert w.homogeneous_degree() == 3
 
 
@@ -215,5 +234,5 @@ def test_colon_witness_catches_a_wrong_indicator(nine_points):
     A = Analysis(nine_points.X)
     A.isx.fs[0] = A.isx.fs[0] + A.isx.fs[1]
     with pytest.raises(InternalInconsistency, match="vanish"):
-        colon_witness(A, 0)
-    assert colon_witness(A, 1) == A.isx.fs[1]
+        _colon_witness(A, 0)
+    assert _colon_witness(A, 1) == A.isx.fs[1]

@@ -30,6 +30,7 @@ from rmcode.variety import (
 )
 
 from groebner_oracle import buchberger
+from pointwise_oracle import evaluate, rescaled
 
 
 def test_torus_p1_f5(F5):
@@ -144,7 +145,7 @@ def test_representative_independence_of_ideal(F3, F5):
         gb = vanishing_ideal(X)
         hd = hilbert_data(gb, X.m, nvars=s)
         lam = [rng.randrange(1, q) for _ in range(m)]
-        Y = X.rescaled(lam)
+        Y = rescaled(X, lam)
         gb2 = vanishing_ideal(Y)
         assert gb2.gens == gb.gens
         hd2 = hilbert_data(gb2, Y.m, nvars=s)
@@ -213,6 +214,31 @@ def test_points_file_errors():
         points_parse("vars 2\n1 2\n")
     with pytest.raises(ParseError):
         points_parse("field 4 1\nvars 2\n1 0\n0 1\n")
+
+
+# a header line repeated, after the points, or without its value: the
+# message and the line number of the offending line
+MISPLACED_HEADERS = [
+    ("field 2 2\nvars 2\na 1\nfield 3 1\n1 1\n", "`field` line after the point rows", 4),
+    ("field 3 1\nvars 2\n1 0\nvars 3\n1 0 1\n", "`vars` line after the point rows", 4),
+    ("field 3 1\nvars 2\n1 0\norder glex\n0 1\n", "`order` line after the point rows", 4),
+    ("field 3 1\nfield 5 1\nvars 2\n1 0\n0 1\n", "repeated `field` line", 2),
+    ("field 3 1\nvars 2\nvars 2\n1 0\n0 1\n", "repeated `vars` line", 3),
+    (
+        "field 3 1\nvars 2\norder glex\norder grevlex\n1 0\n0 1\n",
+        "repeated `order` line",
+        4,
+    ),
+    ("field 3 1\nvars 2\norder\n1 0\n0 1\n", "order line needs", 3),
+    ("field 3 1\nvars\n1 0\n0 1\n", "vars line needs", 2),
+]
+
+
+@pytest.mark.parametrize("text, message, line", MISPLACED_HEADERS)
+def test_header_lines_appear_once_before_the_points(text, message, line):
+    with pytest.raises(ParseError, match=message) as err:
+        points_parse(text)
+    assert err.value.line == line
 
 
 def test_order_line_parse():
@@ -350,7 +376,7 @@ def _eval_poly(X, poly):
 
 def test_evaluation_matches_pointwise_evaluation():
     """The vectorized evaluation matrix and polynomial values equal
-    Poly.evaluate at each point and the term-by-term oracle, over prime and
+    the term-by-term value at each point and the term-by-term oracle, over prime and
     extension fields; no monomial gives no row, no polynomial no row."""
     rng = random.Random(77)
     for f in (Field(2), Field(5), Field(2, 3), Field(3, 2), Field(2**31 - 1)):
@@ -358,7 +384,7 @@ def test_evaluation_matches_pointwise_evaluation():
             X = _random_pointset(rng, f, s, min(6, (f.q**s - 1) // (f.q - 1)))
             monos = [u for d in range(5) for u in monomials_of_degree(s, d)]
             want = [
-                [Poly.monomial(f, s, u).evaluate([int(x) for x in pt]) for pt in X.coords]
+                [evaluate(Poly.monomial(f, s, u), [int(x) for x in pt]) for pt in X.coords]
                 for u in monos
             ]
             assert X.eval_monomials(monos).tolist() == want
@@ -369,6 +395,6 @@ def test_evaluation_matches_pointwise_evaluation():
             ] + [Poly.zero(f, s)]
             points = [[int(x) for x in pt] for pt in X.coords]
             vals = X.eval_polys(polys)
-            assert vals.tolist() == [[g.evaluate(pt) for pt in points] for g in polys]
+            assert vals.tolist() == [[evaluate(g, pt) for pt in points] for g in polys]
             assert vals.tolist() == [_eval_poly(X, g).tolist() for g in polys]
             assert X.eval_polys([]).shape == (0, X.m)
