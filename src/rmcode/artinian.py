@@ -25,7 +25,7 @@ from .groebner import (
     standard_monomials_upto,
 )
 from .polyring import Poly, format_monomial, monomial_support
-from .variety import basis_elements, interpolation_step
+from .variety import PointSet, basis_elements, interpolation_step
 
 
 @dataclass(eq=False)
@@ -33,13 +33,11 @@ class ArtinianReduction:
     """S/J for J = (I(X), h), built by one interpolation step per degree.
 
     ``basis`` is the reduced certified Groebner basis of J.  ``steps[e]`` is
-    (candidates, std, nf, rows) of degree e: the candidates are every
-    variable times every standard monomial of degree e - 1, ascending; std
-    indexes the standard ones; column j of nf is the normal form of
-    candidate j over them, read off the evaluations reduced modulo the
-    RREF basis of h*C_X(e-1); rows, h times the rows of step e - 1 followed
-    by the evaluations of the standard monomials, are a basis of C_X(e).
-    The last step has no standard monomial.
+    (candidates, std, nf) of degree e: the candidates are every variable
+    times every standard monomial of degree e - 1, ascending; std indexes
+    the standard ones; column j of nf is the normal form of candidate j
+    over them, read off the evaluations reduced modulo the RREF basis of
+    h*C_X(e-1).  The last step has no standard monomial.
     """
 
     basis: GroebnerBasis
@@ -169,41 +167,43 @@ def _extension_field(base, e):
     return Field(p, k, search_modulus(p, k))
 
 
-def artinian_reduce(X, order, h):
-    """The reduction S/(I(X), h) for a regular linear form h.
+def _over(X, F):
+    """X with its coordinates in the field F of a linear form, and the map
+    of element code arrays of X's field into F: the identity unless F
+    extends it."""
+    if F == X.field:
+        return X, np.asarray
+    table = X.field.embedding_into(F)
+    return PointSet(F, table[X.coords], canonicalize=False), table.__getitem__
+
+
+def artinian_reduce(A, h):
+    """The reduction S/(I(X), h) of the ``Analysis`` A for a regular linear
+    form h, over the field of h.
 
     J_e = I(X)_e + h*S_{e-1}, so (S/J)_e = C_X(e) / h*C_X(e-1): each degree
-    is one interpolation step on X modulo h*C_X(e-1), given by its RREF
-    basis G and pivots P.  That basis is carried from degree to degree:
-    the reduced evaluations of the new standard monomials are zero on P,
-    so their RREF, G back-eliminated on its pivots, and the two interleaved
-    by pivot are the RREF of C_X(e), and h*C_X(e) is that basis rescaled by
+    is one interpolation step on X modulo h*C_X(e-1), whose RREF basis is
+    the basis of ``A.code(e-1)`` mapped into the field of h and rescaled by
     ``LinearCode.scaled``.  The steps stop at the first degree without a
-    standard monomial.
+    standard monomial, e = r0 + 1.
     """
-    f, s, m = X.field, X.s, X.m
+    F, order = h.field, A.order
+    X, embed = _over(A.X, F)
+    s, m = X.s, X.m
     if h.homogeneous_degree() != 1:
         raise InvalidParams(f"h = {h.to_str(order)} is not a nonzero linear form")
     hvals = X.eval_polys([h])[0]
     if np.any(hvals == 0):
         raise NotRegular(f"{h.to_str(order)} vanishes at a point of X")
     gens, leads, steps = [], [], []
-    candidates, hrows = [(0,) * s], np.zeros((0, m), dtype=np.int64)
-    G, P = hrows, np.zeros(0, dtype=np.int64)
+    candidates = [(0,) * s]
     while True:
-        ev, std, nf, red = interpolation_step(X, candidates, (G, P))
-        gens += basis_elements(f, candidates, std, nf, leads)
-        rows = np.concatenate([hrows, ev[std]])
-        steps.append((candidates, std, nf, rows))
+        hC = LinearCode(F, m, embed(A.code(len(steps) - 1).basis)).scaled(hvals)
+        std, nf = interpolation_step(X, candidates, hC)
+        gens += basis_elements(F, candidates, std, nf, leads)
+        steps.append((candidates, std, nf))
         if not std:
             break
-        G, P = _extended_basis(f, G, P, red[std])
-        if len(G) != len(rows):
-            raise InternalInconsistency(
-                f"the rows of C_X({len(steps) - 1}) are dependent"
-            )
-        G = LinearCode(f, m, G).scaled(hvals).basis
-        hrows = f.mul_arr(rows, hvals[None, :])
         layer = [candidates[c] for c in std]
         candidates = sorted(_next_layer(layer, s, ()), key=order.key)
     if not gb_certify(GroebnerBasis(order, gens)):
@@ -211,20 +211,6 @@ def artinian_reduce(X, order, h):
             "the interpolated basis of (I, h) failed certification"
         )
     return ArtinianReduction(GroebnerBasis(order, gens, certified=True), steps)
-
-
-def _extended_basis(field, G, P, new):
-    """The RREF basis and pivots of span(G) + span(W), for G in RREF with
-    pivots P and rows W that are zero on P, given by ``new``, their values
-    on the other coordinates."""
-    free = np.delete(np.arange(G.shape[1]), P)
-    R, pivots = linalg.rref(field, new)
-    W = np.zeros((len(pivots), G.shape[1]), dtype=np.int64)
-    W[:, free] = R
-    Q = free[list(pivots)]
-    G = field.sub_arr(G, field.matmul(G[:, Q], W))
-    by_pivot = np.argsort(np.concatenate([P, Q]))
-    return np.concatenate([G, W])[by_pivot], np.concatenate([P, Q])[by_pivot]
 
 
 def socle(red):
@@ -240,7 +226,7 @@ def socle(red):
     soc = []
     for e in range(top + 1):
         layer = red.layer(e)
-        candidates, _, nf, _ = red.steps[e + 1]
+        candidates, _, nf = red.steps[e + 1]
         index = {u: j for j, u in enumerate(candidates)}
         maps = [
             nf[:, [index[u[:i] + (u[i] + 1,) + u[i + 1 :]] for u in layer]]
@@ -265,10 +251,10 @@ def classify(A, h=None):
     """
     X, hd = A.X, A.hd
     if h is None:
-        h, ext_degree, workX = find_regular_linear_form(X)
+        h, ext_degree, _ = find_regular_linear_form(X)
     else:
-        ext_degree, workX = 1, X
-    red = artinian_reduce(workX, A.order, h)
+        ext_degree = 1
+    red = artinian_reduce(A, h)
     soc, top, type_, level, gorenstein, s_number = socle(red)
     if top != hd.r0:
         raise InternalInconsistency(
@@ -310,21 +296,26 @@ def verify_socle_identities(A, cls):
     The remainders come from the degree-r0 step: f_i - lambda_i*t^a lies in
     J, so ev(f_i) = f_i(P_i)*e_i and lambda_i*ev(t^a) differ by a vector of
     h*C_X(r0-1), and lambda_i = f_i(P_i)*w_i for the w orthogonal to
-    h*C_X(r0-1) with w . ev(t^a) = 1.
+    h*C_X(r0-1) with w . ev(t^a) = 1.  That w is mu*beta/h(P), for beta
+    spanning C_X(r0-1)^perp, because (beta/h(P)) . (h*c) = beta . c.
     """
     if not cls.gorenstein:
         raise NotGorenstein("socle identities require a Gorenstein ideal")
-    X, gb, isx = A.X, A.gb, A.isx
+    gb, isx = A.gb, A.isx
     r0 = A.hd.r0
     t_a = cls.socle_monomial
-    fstar = cls.J_basis.field
-    values = isx.values
-    if cls.extension_degree > 1:
-        values = X.field.embedding_into(fstar)[values]
-    rows = cls.reduction.steps[r0][3]
-    w = linalg.solve(fstar, rows, np.eye(X.m, dtype=np.int64)[-1])
-    if w is None:
-        raise InternalInconsistency("the degree-r0 rows of S/J must span C_X(r0)")
+    fstar = cls.h.field
+    X, embed = _over(A.X, fstar)
+    D = A.dual(r0 - 1)
+    if D.dimension != 1:
+        raise InternalInconsistency("C_X(r0-1)^perp must be one-dimensional")
+    hinv = fstar.arr([fstar.inv(int(v)) for v in X.eval_polys([cls.h])[0]])
+    w = fstar.mul_arr(embed(D.basis[0]), hinv)
+    dot = int(fstar.matmul(X.eval_monomials([t_a]), w[:, None])[0, 0])
+    if dot == 0:
+        raise InternalInconsistency("C_X(r0-1)^perp is orthogonal to ev(t^a)")
+    w = fstar.mul_arr(w, fstar.inv(dot))
+    values = embed(isx.values)
     lambdas = []
     for i, deg in enumerate(isx.degrees):
         if deg != r0:

@@ -65,106 +65,36 @@ def is_prime(n):
     return True
 
 
-def prime_factors(n):
-    """The distinct prime factors of n >= 1, ascending, by trial division."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# polynomial helpers over F_p (coefficient tuples, ascending powers)
+# monic polynomials over F_p (coefficient tuples, ascending powers)
 
 
-def _poly_trim(c):
-    while c and c[-1] == 0:
-        c = c[:-1]
-    return c
+def _monic(code, p, k):
+    """The monic degree-k polynomial whose lower coefficients are the base-p
+    digits of ``code``."""
+    return tuple(code // p**i % p for i in range(k)) + (1,)
 
 
-def _poly_mulmod(f, g, mod, p):
-    k = len(mod) - 1
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    # reduce by the monic modulus
-    for i in range(len(out) - 1, k - 1, -1):
-        c = out[i]
+def _poly_rem(f, g, p):
+    """The remainder of f modulo the monic g over F_p, len(g) - 1 entries."""
+    r, k = list(f), len(g) - 1
+    for i in range(len(r) - 1, k - 1, -1):
+        c = r[i]
         if c:
-            out[i] = 0
-            for j in range(k):
-                out[i - k + j] = (out[i - k + j] - c * mod[j]) % p
-    return out[:k] + [0] * (k - len(out)) if len(out) < k else out[:k]
-
-
-def _poly_powmod_x(e, mod, p):
-    """x^e modulo the monic polynomial `mod` over F_p."""
-    k = len(mod) - 1
-    result = [1] + [0] * (k - 1)
-    base = ([0, 1] + [0] * (k - 2))[:k] if k >= 2 else [(-mod[0]) % p]
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(f, g, p):
-    f, g = list(_poly_trim(tuple(f))), list(_poly_trim(tuple(g)))
-    while g:
-        inv = pow(g[-1], p - 2, p)
-        g_monic = [(c * inv) % p for c in g]
-        # f mod g_monic
-        f = list(f)
-        while len(f) >= len(g_monic) and f:
-            c = f[-1]
-            if c:
-                shift = len(f) - len(g_monic)
-                for j, b in enumerate(g_monic):
-                    f[shift + j] = (f[shift + j] - c * b) % p
-            f = list(_poly_trim(tuple(f)))
-            if not f:
-                break
-        f, g = g_monic, f
-    return tuple(f)
+            for j in range(k + 1):
+                r[i - k + j] = (r[i - k + j] - c * g[j]) % p
+    return r[:k]
 
 
 def is_irreducible(modulus, p):
-    """Rabin test for a monic polynomial over F_p (degree-2/3 root check first)."""
-    mod = list(modulus)
-    k = len(mod) - 1
-    if k == 1:
-        return True
-    if mod[0] == 0:  # divisible by x
-        return False
-    if k <= 3:
-        # quadratics and cubics are irreducible iff they have no root
-        return all(
-            sum(c * pow(x, i, p) for i, c in enumerate(mod)) % p != 0 for x in range(p)
-        )
-    # x^{p^k} == x mod f, and gcd(x^{p^{k/d}} - x, f) = 1 for prime d | k
-    xp = _poly_powmod_x(p**k, mod, p)
-    if _poly_trim(tuple(xp)) != (0, 1):
-        return False
-    for d in prime_factors(k):
-        sub = list(_poly_powmod_x(p ** (k // d), mod, p))
-        if len(sub) < 2:
-            sub += [0] * (2 - len(sub))
-        sub[1] = (sub[1] - 1) % p
-        if len(_poly_gcd(sub, mod, p)) > 1:
-            return False
-    return True
+    """Whether the monic polynomial ``modulus`` of degree k is irreducible
+    over F_p: no monic polynomial of degree 1..k//2 divides it."""
+    k = len(modulus) - 1
+    return all(
+        any(_poly_rem(modulus, _monic(code, p, d), p))
+        for d in range(1, k // 2 + 1)
+        for code in range(p**d)
+    )
 
 
 def search_modulus(p, k):
@@ -172,12 +102,7 @@ def search_modulus(p, k):
     if p**k in BUILTIN_MODULI:
         return BUILTIN_MODULI[p**k]
     for code in range(p**k):
-        coeffs = []
-        c = code
-        for _ in range(k):
-            coeffs.append(c % p)
-            c //= p
-        mod = tuple(coeffs) + (1,)
+        mod = _monic(code, p, k)
         if is_irreducible(mod, p):
             return mod
     raise NoModulusAvailable(f"no irreducible polynomial of degree {k} over F_{p}")
@@ -201,7 +126,14 @@ class Field:
             raise Unsupported(
                 f"extension fields are table driven and limited to q <= {TABLE_LIMIT}"
             )
+        if modulus is not None:
+            modulus = tuple(int(c) % p for c in modulus)
+            if len(modulus) != k + 1 or modulus[-1] != 1:
+                raise ReducibleModulus(
+                    f"modulus must be monic of degree {k} (got {modulus})"
+                )
         if k == 1:
+            # every monic linear modulus gives F_p with its codes
             self.modulus = (0, 1)
         else:
             if modulus is None:
@@ -211,11 +143,6 @@ class Field:
                     raise NoModulusAvailable(
                         f"no built-in modulus for q={self.q}; pass one explicitly"
                     )
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise ReducibleModulus(
-                    f"modulus must be monic of degree {k} (got {modulus})"
-                )
             if not is_irreducible(modulus, p):
                 raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
             self.modulus = modulus

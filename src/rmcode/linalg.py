@@ -65,18 +65,3 @@ def rref_nullspace(field, R, pivots):
     basis[np.arange(len(free)), free] = 1
     basis[:, list(pivots)] = field.neg_arr(field.arr(R)[:, free]).T
     return rref(field, basis)[0]
-
-
-def solve(field, mat, rhs):
-    """One solution of mat @ x = rhs, or None when inconsistent."""
-    a = field.arr(mat)
-    b = field.arr(rhs).reshape(-1, 1)
-    aug = np.concatenate([a, b], axis=1)
-    R, pivots = rref(field, aug)
-    cols = a.shape[1]
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r, cols]
-    return x

@@ -267,6 +267,8 @@ def parse_poly(field, nvars, text):
     text = text.replace(" ", "")
     if not text:
         raise ParseError("empty polynomial")
+    if text[-1] in "+-":
+        raise ParseError(f"trailing operator {text[-1]!r} in {text!r}")
     # split into signed terms at top level (outside parentheses)
     terms, depth, cur, sign = [], 0, "", 1
     for ch in text:
@@ -294,6 +296,8 @@ def parse_poly(field, nvars, text):
 
     out = Poly.zero(field, nvars)
     for sign, term in terms:
+        if term[-1] == "*" or "**" in term:
+            raise ParseError(f"dangling '*' in term {term!r} of {text!r}")
         coeff = 1
         expo = [0] * nvars
         # factor scan: (..) or bare coefficients and variable powers, *-separated

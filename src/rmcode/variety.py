@@ -201,22 +201,22 @@ def parse_points_text(text):
                 modulus = [int(x) for x in parts[3:]] or None
                 field = Field(p, k, modulus)
             elif parts[0] == "vars":
-                if len(parts) < 2:
+                if len(parts) != 2:
                     raise ParseError("vars line needs `vars s`", line=lineno)
                 s = int(parts[1])
                 if s < 1:
                     raise ParseError("vars must be positive", line=lineno)
             elif parts[0] == "order":
-                if len(parts) < 2:
+                perms = parts[2:]
+                if len(parts) < 2 or len(perms) > 1 or not all(
+                    t.startswith("perm=") for t in perms
+                ):
                     raise ParseError(
-                        "order line needs `order grevlex|glex`", line=lineno
+                        "order line needs `order grevlex|glex [perm=i1,...,is]`",
+                        line=lineno,
                     )
-                kind = parts[1]
-                perm = ()
-                for extra in parts[2:]:
-                    if extra.startswith("perm="):
-                        perm = tuple(int(x) for x in extra[5:].split(","))
-                order = TermOrder(kind, perm)
+                perm = tuple(int(x) for x in perms[0][5:].split(",")) if perms else ()
+                order = TermOrder(parts[1], perm)
             else:
                 if field is None or s is None:
                     raise ParseError(
@@ -272,27 +272,26 @@ def interpolation_step(X, candidates, fixed=None):
     """One degree of the interpolation on the evaluation map of X.
 
     ``candidates`` are monomials of one degree in ascending order; ``fixed``
-    optionally is (G, P): the RREF basis and the pivot columns of a
-    subspace V of evaluation vectors already in the ideal (h*C_X(e-1) for
-    (I(X), h)).  Each evaluation v is reduced to v - v[P]*G, which is zero
-    on P, and kept on the other coordinates; that map has kernel exactly V.
-    One RREF of the matrix whose columns are the reduced evaluations: its
-    pivots are the standard monomials, and column j of ``nf`` holds the
-    coefficients over them of the normal form of candidate j, because
-    candidate j minus that combination evaluates into V.
+    optionally is a ``LinearCode`` V of evaluation vectors already in the
+    ideal (h*C_X(e-1) for (I(X), h)), with RREF basis G and pivot columns
+    P.  Each evaluation v is reduced to v - v[P]*G, which is zero on P, and
+    kept on the other coordinates; that map has kernel exactly V.  One RREF
+    of the matrix whose columns are the reduced evaluations: its pivots are
+    the standard monomials, and column j of ``nf`` holds the coefficients
+    over them of the normal form of candidate j, because candidate j minus
+    that combination evaluates into V.
 
-    Returns (ev, std, nf, red): the candidates' evaluation rows, the
-    indices of the standard ones, the (len(std), len(candidates)) matrix,
-    and the reduced evaluation rows, on the coordinates off P.
+    Returns (std, nf): the indices of the standard candidates and the
+    (len(std), len(candidates)) matrix.
     """
     f = X.field
-    ev = red = X.eval_monomials(candidates)
+    red = X.eval_monomials(candidates)
     if fixed is not None:
-        G, P = fixed
+        G, P = fixed.basis, np.array(fixed.pivots, dtype=np.int64)
         free = np.delete(np.arange(X.m), P)
-        red = f.sub_arr(ev[:, free], f.matmul(ev[:, P], G[:, free]))
+        red = f.sub_arr(red[:, free], f.matmul(red[:, P], G[:, free]))
     nf, pivots = rref(f, red.T)
-    return ev, list(pivots), nf, red
+    return list(pivots), nf
 
 
 def basis_elements(field, candidates, std, nf, leads):
@@ -339,7 +338,7 @@ def vanishing_ideal(X, order=GREVLEX):
         if d > 4 * (m + s):  # unreachable for honest inputs; loud bug trap
             raise InternalInconsistency("interpolation failed to stabilize")
         candidates = sorted(_next_layer(accepted, s, leads), key=order.key)
-        _, std, nf, _ = interpolation_step(X, candidates)
+        std, nf = interpolation_step(X, candidates)
         old = len(leads)
         gens += basis_elements(f, candidates, std, nf, leads)
         for i in range(old, len(leads)):

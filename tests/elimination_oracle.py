@@ -1,12 +1,28 @@
 """Full re-elimination references: the per-pivot RREF, which updates every
 whole row at every pivot, and the Artinian reduction whose every degree
 eliminates the rows of h*C_X(e-1) again from scratch.  They are the oracles
-of ``linalg.rref`` and ``artinian.artinian_reduce``."""
+of ``linalg.rref`` and ``artinian.artinian_reduce``.  ``solve`` is one
+solution of a linear system by one RREF of the augmented matrix."""
 
 import numpy as np
 
+from rmcode import linalg
 from rmcode.errors import InternalInconsistency
 from rmcode.groebner import _next_layer
+
+
+def solve(field, mat, rhs):
+    """One solution of mat @ x = rhs, or None when inconsistent."""
+    a = field.arr(mat)
+    aug = np.concatenate([a, field.arr(rhs).reshape(-1, 1)], axis=1)
+    R, pivots = linalg.rref(field, aug)
+    cols = a.shape[1]
+    if cols in pivots:
+        return None
+    x = np.zeros(cols, dtype=np.int64)
+    for r, pc in enumerate(pivots):
+        x[pc] = R[r, cols]
+    return x
 
 
 def rref_per_pivot(field, mat):
@@ -55,7 +71,9 @@ def interpolation_step_fixed_rows(X, candidates, fixed):
 
 def artinian_steps_fixed_rows(X, order, h):
     """The (candidates, std, nf, rows) of every degree of S/(I(X), h), each
-    degree one step with h times the previous step's rows fixed first."""
+    degree one step with h times the previous step's rows fixed first; the
+    rows, those fixed rows followed by the evaluations of the standard
+    monomials, are a basis of C_X(e)."""
     f, s = X.field, X.s
     hvals = X.eval_polys([h])[0]
     steps = []

@@ -1,10 +1,25 @@
 """Powers of arrays of field codes by square-and-multiply on
-``Field.mul_arr``, for the Frobenius and unit-group checks, and the
-multiplicative order of an element with the smallest primitive element."""
+``Field.mul_arr``, for the Frobenius and unit-group checks, the
+multiplicative order of an element with the smallest primitive element,
+and polynomial products over F_p: the reduced product of two field
+elements' digit tuples and every reducible monic polynomial of a degree."""
 
 import numpy as np
 
-from rmcode.gf import prime_factors
+
+def prime_factors(n):
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def pow_arr(field, a, e):
@@ -32,3 +47,41 @@ def order_of(field, code):
 def primitive_element(field):
     """The smallest code that generates the unit group."""
     return next(x for x in range(1, field.q) if order_of(field, x) == field.q - 1)
+
+
+def poly_mul(f, g, p):
+    """The product of two coefficient tuples over F_p, ascending powers."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return tuple(out)
+
+
+def poly_mulmod(f, g, mod, p):
+    """f * g reduced modulo the monic ``mod`` over F_p, len(mod) - 1 entries."""
+    k = len(mod) - 1
+    out = list(poly_mul(f, g, p)) + [0] * k
+    for i in range(len(out) - 1, k - 1, -1):
+        c = out[i]
+        if c:
+            for j in range(k + 1):
+                out[i - k + j] = (out[i - k + j] - c * mod[j]) % p
+    return out[:k]
+
+
+def monics(p, k):
+    """Every monic degree-k polynomial over F_p, in code order: the lower
+    coefficients are the base-p digits of the code."""
+    return [tuple(code // p**i % p for i in range(k)) + (1,) for code in range(p**k)]
+
+
+def reducible_monics(p, k):
+    """Every reducible monic degree-k polynomial over F_p: the products of
+    two monic polynomials of degrees a and k - a, 1 <= a <= k // 2."""
+    return {
+        poly_mul(f, g, p)
+        for a in range(1, k // 2 + 1)
+        for f in monics(p, a)
+        for g in monics(p, k - a)
+    }

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from elimination_oracle import artinian_steps_fixed_rows
+from elimination_oracle import artinian_steps_fixed_rows, solve
 from groebner_oracle import buchberger
 from rmcode import artinian, linalg, variety
 from rmcode.analysis import Analysis
@@ -19,7 +19,14 @@ from rmcode.artinian import (
     socle,
     verify_socle_identities,
 )
-from rmcode.errors import IdentityViolated, NotGorenstein, NotRegular, RMCodeError
+from rmcode.codes import LinearCode
+from rmcode.errors import (
+    IdentityViolated,
+    InternalInconsistency,
+    NotGorenstein,
+    NotRegular,
+    RMCodeError,
+)
 from rmcode.gf import Field
 from rmcode.golden import CORPUS, load_entry
 from rmcode.groebner import normal_form, standard_monomials_upto
@@ -168,8 +175,8 @@ def test_projective_line_f3_needs_extension(F3):
 
 
 def test_artinian_reduce_by_last_variable(five_points_frame, F3):
-    X, gb, hd = five_points_frame.X, five_points_frame.gb, five_points_frame.hd
-    red = artinian_reduce(X, gb.order, parse_poly(F3, 4, "t4"))
+    gb, hd = five_points_frame.gb, five_points_frame.hd
+    red = artinian_reduce(five_points_frame, parse_poly(F3, 4, "t4"))
     assert red.basis.certified
     assert red.basis.gens == buchberger(gb.gens + (parse_poly(F3, 4, "t4"),), gb.order).gens
     assert tuple(len(red.layer(e)) for e in range(hd.r0 + 1)) == hd.h_vector
@@ -177,8 +184,8 @@ def test_artinian_reduce_by_last_variable(five_points_frame, F3):
 
 
 def test_artinian_reduce_general_form(five_points_socle, F3):
-    X, gb, hd = five_points_socle.X, five_points_socle.gb, five_points_socle.hd
-    red = artinian_reduce(X, gb.order, parse_poly(F3, 4, "t1+t4"))
+    hd = five_points_socle.hd
+    red = artinian_reduce(five_points_socle, parse_poly(F3, 4, "t1+t4"))
     per = standard_monomials_upto(red.basis, 4, hd.r0 + 1)
     assert tuple(len(p) for p in per[: hd.r0 + 1]) == (1, 3, 1)
     assert per[hd.r0] == (parse_monomial(4, "t3*t4"),)
@@ -187,14 +194,14 @@ def test_artinian_reduce_general_form(five_points_socle, F3):
 
 def test_artinian_reduce_two_points(F3):
     X = PointSet(F3, [[1, 1], [0, 1]])
-    red = artinian_reduce(X, GREVLEX, parse_poly(F3, 2, "t2"))
+    red = artinian_reduce(Analysis(X), parse_poly(F3, 2, "t2"))
     per = standard_monomials_upto(red.basis, 2, 2)
     assert per[0] == ((0, 0),) and per[1] == ((1, 0),) and per[2] == ()
 
 
 def test_artinian_reduce_rejects_zero_divisor(nine_points, F3):
     with pytest.raises(NotRegular):
-        artinian_reduce(nine_points.X, GREVLEX, parse_poly(F3, 3, "t1"))
+        artinian_reduce(nine_points, parse_poly(F3, 3, "t1"))
 
 
 def test_socle_five_points(five_points_socle, F3):
@@ -275,7 +282,7 @@ def test_extension_invariance(five_points_frame, F3):
         for c in _candidate_forms(big, X.s)
         if _avoids_all(bigX, c)
     )
-    red = artinian_reduce(bigX, five_points_frame.order, hpoly)
+    red = artinian_reduce(five_points_frame, hpoly)
     soc, top, type_, level, gorenstein, s_number = socle(red)
     assert (type_, level, gorenstein, s_number) == (
         base.type_,
@@ -433,21 +440,21 @@ def test_reduction_matches_oracles_on_random_sets():
 def _assert_steps_match_the_fixed_rows_oracle(X, order, h):
     """Every step of ``artinian_reduce`` equals the step that eliminates
     the rows of h*C_X(e-1) again from scratch."""
-    steps = artinian_reduce(X, order, h).steps
-    want = artinian_steps_fixed_rows(X, order, h)
+    workX = X if h.field == X.field else X.lift(h.field)
+    steps = artinian_reduce(Analysis(X, order), h).steps
+    want = artinian_steps_fixed_rows(workX, order, h)
     assert len(steps) == len(want)
-    for (cands, std, nf, rows), (cands0, std0, nf0, rows0) in zip(steps, want):
+    for (cands, std, nf), (cands0, std0, nf0, _) in zip(steps, want):
         assert cands == cands0 and std == std0
         assert nf.shape == nf0.shape and np.array_equal(nf, nf0)
-        assert rows.shape == rows0.shape and np.array_equal(rows, rows0)
 
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_reduction_steps_match_the_fixed_rows_oracle_on_corpus(name):
     X, _ = points_parse(load_entry(name)[0])
-    h, _, workX = find_regular_linear_form(X)
+    h, _, _ = find_regular_linear_form(X)
     for order in (GREVLEX, TermOrder("glex")):
-        _assert_steps_match_the_fixed_rows_oracle(workX, order, h)
+        _assert_steps_match_the_fixed_rows_oracle(X, order, h)
 
 
 def test_reduction_steps_match_the_fixed_rows_oracle_on_random_sets():
@@ -466,15 +473,15 @@ def test_reduction_steps_match_the_fixed_rows_oracle_on_random_sets():
             forms.append(_linear_form(workX.field, X.s, coeffs))
         for order in (GREVLEX, TermOrder("glex")):
             for form in forms:
-                _assert_steps_match_the_fixed_rows_oracle(workX, order, form)
+                _assert_steps_match_the_fixed_rows_oracle(X, order, form)
     assert lifted >= 10
 
 
-def test_artinian_reduce_eliminates_at_most_2m_pivots(monkeypatch):
-    """Degree e finds its h_e standard monomials with h_e pivots and adds
-    them to the RREF basis of h*C_X(e-1) with h_e more, so a reduction
-    takes 2m pivots; eliminating h*C_X(e-1) again at every degree would
-    add the sum of H(e-1) over e."""
+def test_artinian_reduce_eliminates_at_most_m_pivots(monkeypatch):
+    """With the codes C_X(0), ..., C_X(r0) of the Analysis built, degree e
+    finds its h_e standard monomials with h_e pivots, so a reduction takes
+    m pivots in all; eliminating h*C_X(e-1) at every degree would add the
+    sum of H(e-1) over e."""
     kernel = linalg.rref
     counted = []
 
@@ -483,11 +490,63 @@ def test_artinian_reduce_eliminates_at_most_2m_pivots(monkeypatch):
         counted.append(len(pivots))
         return R, pivots
 
-    monkeypatch.setattr(linalg, "rref", counting)
-    monkeypatch.setattr(variety, "rref", counting)
     for name in CORPUS:
         X, order = points_parse(load_entry(name)[0])
-        h, _, workX = find_regular_linear_form(X)
+        A = Analysis(X, order or GREVLEX)
+        A.isx
+        h, _, _ = find_regular_linear_form(X)
         counted.clear()
-        artinian_reduce(workX, order or GREVLEX, h)
-        assert 0 < sum(counted) <= 2 * X.m
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "rref", counting)
+            patch.setattr(variety, "rref", counting)
+            artinian_reduce(A, h)
+        assert sum(counted) == X.m
+
+
+def _lambdas_by_solve(A, cls):
+    """Oracle: the lambdas of the socle identities by one m x m solve
+    against the degree-r0 rows of the fixed-rows reduction, h*C_X(r0-1)
+    followed by ev(t^a), for the last unit vector."""
+    X, F = A.X, cls.h.field
+    workX = X if F == X.field else X.lift(F)
+    rows = artinian_steps_fixed_rows(workX, A.order, cls.h)[A.hd.r0][3]
+    w = solve(F, rows, np.eye(X.m, dtype=np.int64)[-1])
+    values = X.field.embedding_into(F)[A.isx.values] if F != X.field else A.isx.values
+    return [F.mul(int(v), int(c)) for v, c in zip(values, w)]
+
+
+def test_socle_lambdas_match_the_solve_route():
+    """lambda_i = f_i(P_i)*w_i read off the parity-check vector beta equals
+    the solve against the rows of C_X(r0) on the golden corpus and on
+    seeded Gorenstein sets under grevlex and glex, extensions included."""
+    analyses = []
+    for name in CORPUS:
+        X, order = points_parse(load_entry(name)[0])
+        analyses += [Analysis(X, o) for o in {order or GREVLEX, TermOrder("glex")}]
+    for X in _random_analysis_sets(60, 1871):
+        analyses += [Analysis(X, o) for o in (GREVLEX, TermOrder("glex"))]
+    checked = extended = 0
+    for A in analyses:
+        cls = classify(A)
+        if not cls.gorenstein:
+            continue
+        assert verify_socle_identities(A, cls)["lambdas"] == _lambdas_by_solve(A, cls)
+        checked += 1
+        extended += cls.extension_degree > 1
+    assert checked >= 40 and extended >= 5
+
+
+def test_socle_identities_need_a_one_dimensional_parity_space(five_points_socle, monkeypatch):
+    """A parity-check space of C_X(r0-1) that is not one-dimensional, or a
+    beta orthogonal to ev(t^a), trips the trap instead of giving lambdas."""
+    A = five_points_socle
+    cls = classify(A)
+    D = A.dual(A.hd.r0 - 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(A, "dual", lambda d: LinearCode(D.field, D.length, np.concatenate([D.basis] * 2)))
+        with pytest.raises(InternalInconsistency, match="one-dimensional"):
+            verify_socle_identities(A, cls)
+    with monkeypatch.context() as patch:
+        patch.setattr(A, "dual", lambda d: LinearCode(D.field, D.length, np.zeros_like(D.basis)))
+        with pytest.raises(InternalInconsistency, match="orthogonal to ev"):
+            verify_socle_identities(A, cls)

@@ -167,7 +167,24 @@ def test_generate_roundtrips_through_analyze(tmp_path, capsys):
     ],
 )
 def test_analyze_rejects_a_misplaced_header_line(tmp_path, capsys, text):
-    path = tmp_path / "late.points"
+    _assert_parse_error_exit(tmp_path, capsys, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "field 3 1\nvars 3\norder glex prem=3,2,1\n1 0 0\n0 1 0\n",
+        "field 3 1\nvars 2\norder glex perm=1,2 perm=2,1\n1 0\n0 1\n",
+        "field 3 1\nvars 2 9\n1 0\n0 1\n",
+        "field 5 1 7 7 7\nvars 2\n1 0\n0 1\n",
+    ],
+)
+def test_analyze_rejects_a_header_line_with_unread_tokens(tmp_path, capsys, text):
+    _assert_parse_error_exit(tmp_path, capsys, text)
+
+
+def _assert_parse_error_exit(tmp_path, capsys, text):
+    path = tmp_path / "header.points"
     path.write_text(text)
     assert main(["analyze", str(path)]) == 2
     captured = capsys.readouterr()
@@ -293,6 +310,16 @@ def test_analyze_rejects_malformed_budget_env(frame_points_file, capsys, monkeyp
     assert main(["analyze", frame_points_file]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "RMCODE_BUDGET" in err
+
+
+@pytest.mark.parametrize("form", ["t1+", "t1*", "2*"])
+def test_analyze_rejects_a_pinned_form_with_a_dangling_operator(tmp_path, capsys, form):
+    path = tmp_path / "two.points"
+    path.write_text("field 3 1\nvars 2\n1 0\n0 1\n")
+    assert main(["analyze", str(path), "--gorenstein", "--artinian-h", form]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and form in captured.err
+    assert "Traceback" not in captured.out + captured.err
 
 
 @pytest.mark.parametrize("form", ["t1^2+t2^2", "2", "0"])

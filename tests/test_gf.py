@@ -12,9 +12,16 @@ from rmcode.errors import (
     ReducibleModulus,
     Unsupported,
 )
-from rmcode.gf import BUILTIN_MODULI, Field, _poly_mulmod, search_modulus
+from rmcode.gf import BUILTIN_MODULI, Field, is_irreducible, is_prime, search_modulus
 
-from gf_oracle import order_of, pow_arr, primitive_element
+from gf_oracle import (
+    monics,
+    order_of,
+    poly_mulmod,
+    pow_arr,
+    primitive_element,
+    reducible_monics,
+)
 
 
 def _is_prime(n):
@@ -223,9 +230,41 @@ def test_embedding_preserves_arithmetic(small, big):
     assert len(set(int(v) for v in t)) == F.q
 
 
+def test_irreducibility_matches_the_product_oracle():
+    """Trial division agrees with the set of all products of two monic
+    factors on every monic polynomial over F_2 and F_3 of degree <= 5 and
+    over F_5 of degree <= 4."""
+    checked = 0
+    for p, top in ((2, 5), (3, 5), (5, 4)):
+        for k in range(1, top + 1):
+            reducible = reducible_monics(p, k)
+            for f in monics(p, k):
+                assert is_irreducible(f, p) == (f not in reducible), f
+                checked += 1
+    assert checked == 1205
+
+
+def test_search_modulus_is_the_first_irreducible_in_code_order():
+    """For every prime power q <= 1024: the built-in modulus where there is
+    one, else the first monic polynomial in code order that is no product
+    of two monic factors; every one is irreducible by the product oracle."""
+    searched = 0
+    for p in filter(is_prime, range(2, 1025)):
+        k = 1
+        while p**k <= 1024:
+            mod, reducible = search_modulus(p, k), reducible_monics(p, k)
+            assert mod not in reducible
+            if p**k in BUILTIN_MODULI:
+                assert mod == BUILTIN_MODULI[p**k]
+            else:
+                assert mod == next(f for f in monics(p, k) if f not in reducible)
+                searched += k > 1
+            k += 1
+    assert searched == 16
+
+
 def test_irreducibility_against_sympy_oracle():
     sympy = pytest.importorskip("sympy")
-    from rmcode.gf import is_irreducible
 
     rng = __import__("random").Random(314159)
     x = sympy.symbols("x")
@@ -254,7 +293,7 @@ def _tables_by_elements(F):
     mul = np.zeros((q, q), dtype=np.int64)
     for x in range(q):
         for y in range(x, q):
-            prod = _poly_mulmod(list(digits[x]), list(digits[y]), list(F.modulus), p)
+            prod = poly_mulmod(list(digits[x]), list(digits[y]), F.modulus, p)
             mul[x, y] = mul[y, x] = code(prod)
     inv = np.zeros(q, dtype=np.int64)
     for x in range(1, q):

@@ -135,6 +135,12 @@ def test_parse_print_roundtrip(F3, F4):
         parse_poly(F3, 2, "t5")
 
 
+@pytest.mark.parametrize("text", ["t1+", "t1-", "t1*", "2*", "t1*+t2", "t1**t2", "(1)*"])
+def test_parse_poly_rejects_a_dangling_operator(F3, text):
+    with pytest.raises(ParseError, match="operator|dangling"):
+        parse_poly(F3, 2, text)
+
+
 def test_parse_monomial():
     assert parse_monomial(4, "t1^2*t2") == (2, 1, 0, 0)
     assert parse_monomial(3, "1") == (0, 0, 0)

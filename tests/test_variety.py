@@ -241,6 +241,34 @@ def test_header_lines_appear_once_before_the_points(text, message, line):
     assert err.value.line == line
 
 
+# an order or vars line with a token it does not read, or a prime field
+# with a modulus that is not monic of degree 1
+STRICT_HEADERS = [
+    ("field 3 1\nvars 3\norder glex prem=3,2,1\n1 0 0\n0 1 0\n", "order line needs", 3),
+    (
+        "field 3 1\nvars 2\norder glex perm=1,2 perm=2,1\n1 0\n0 1\n",
+        "order line needs",
+        3,
+    ),
+    ("field 3 1\nvars 2 9\n1 0\n0 1\n", "vars line needs", 2),
+    ("field 5 1 7 7 7\nvars 2\n1 0\n0 1\n", "monic of degree 1", 1),
+    ("field 5 1 7\nvars 2\n1 0\n0 1\n", "monic of degree 1", 1),
+    ("field 5 1 0 2\nvars 2\n1 0\n0 1\n", "monic of degree 1", 1),
+]
+
+
+@pytest.mark.parametrize("text, message, line", STRICT_HEADERS)
+def test_header_lines_have_no_unread_tokens(text, message, line):
+    with pytest.raises(ParseError, match=message) as err:
+        points_parse(text)
+    assert err.value.line == line
+
+
+def test_prime_field_line_accepts_a_monic_linear_modulus():
+    X, _ = points_parse("field 5 1 3 1\nvars 2\n1 0\n0 1\n")
+    assert X.field.modulus == (0, 1)
+
+
 def test_order_line_parse():
     text = "field 3 1\nvars 3\norder glex perm=3,2,1\n1 0 0\n0 1 0\n"
     X, order = points_parse(text)
