@@ -16,6 +16,7 @@ from .groebner import (
 from .variety import (
     HilbertData,
     PointSet,
+    VanishingIdeal,
     hilbert_data,
     points_full_projective,
     points_parameterized,
@@ -29,7 +30,6 @@ from .indicators import IndicatorSet, standard_indicators
 from .codes import (
     LinearCode,
     WeightMatrix,
-    code_of_degree,
     dual_code,
     ghw,
     min_distance,

@@ -8,12 +8,14 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from math import comb
 
+import numpy as np
+
 from . import __version__
 from .artinian import classify, verify_socle_identities
 from .codes import (
     DEFAULT_CODEWORD_BUDGET,
     DEFAULT_SUBSPACE_BUDGET,
-    code_of_degree,
+    LinearCode,
     enumeration_budget,
     footprint_matrix,
     ghw,
@@ -26,7 +28,7 @@ from .duality import (
     gorenstein_selfdual_classify,
     self_dual_report,
 )
-from .errors import BudgetExceeded, InvalidParams, ParseError
+from .errors import BudgetExceeded, InternalInconsistency, InvalidParams, ParseError
 from .groebner import minimal_generator_count
 from .indicators import standard_indicators
 from .polyring import GREVLEX, TermOrder, format_monomial, parse_poly
@@ -44,12 +46,14 @@ from .variety import (
 class Analysis:
     """One point set X under one order.
 
-    The certified vanishing-ideal basis ``gb``, the Hilbert data ``hd``
-    (checked by ``symmetry_equiv_check``) and the indicator functions
-    ``isx`` are computed on first use; ``code(d)`` and ``dual(d)`` build
-    C_X(d) and its dual once per degree, the zero code for d < 0, with
-    read-only bases.  The indicators are read off the RREF bases of
-    C_X(0), ..., C_X(r0), and each dual off the RREF basis of its code.
+    The vanishing ideal ``ideal`` with its certified basis ``gb``, the
+    Hilbert data ``hd`` (checked by ``symmetry_equiv_check``) and the
+    indicator functions ``isx`` are computed on first use.  ``code(d)``
+    and ``dual(d)`` give C_X(d) and its dual, each built once, with
+    read-only bases: the zero code for d < 0, the code that the
+    interpolation of I(X) eliminated for 0 <= d < r0, and all of F_q^m
+    from r0 on.  The indicators are read off the same eliminations, and
+    each dual off the RREF basis of its code.
     """
 
     X: PointSet
@@ -57,13 +61,22 @@ class Analysis:
     _codes: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     @cached_property
-    def gb(self):
+    def ideal(self):
         return vanishing_ideal(self.X, self.order)
+
+    @cached_property
+    def gb(self):
+        return self.ideal.gb
 
     @cached_property
     def hd(self):
         hd = hilbert_data(self.gb, self.X.m, nvars=self.X.s)
         symmetry_equiv_check(hd)
+        if len(self.ideal.codes) != hd.r0 + 1:
+            raise InternalInconsistency(
+                f"the interpolation reached F_q^m in degree {len(self.ideal.codes) - 1}, "
+                f"the staircase in degree r0 = {hd.r0}"
+            )
         return hd
 
     @cached_property
@@ -73,8 +86,21 @@ class Analysis:
     def code(self, d):
         C = self._codes.get(d)
         if C is None:
-            C = self._codes[d] = code_of_degree(self.X, self.gb, d)
+            f, m, r0 = self.X.field, self.X.m, self.hd.r0
+            if d < 0:
+                C = LinearCode(f, m, np.zeros((0, m), dtype=np.int64))
+            elif d >= r0:
+                C = LinearCode(f, m, np.eye(m, dtype=np.int64))
+            else:
+                C = self.ideal.codes[d]
+                # the evaluation map is injective on the standard monomials
+                if C.dimension != self.hd.value(d):
+                    raise InternalInconsistency(
+                        f"dim C_X({d}) = {C.dimension} != |footprint_{d}| = "
+                        f"{self.hd.value(d)}"
+                    )
             C.basis.flags.writeable = False
+            self._codes[d] = C
         return C
 
     def dual(self, d):
@@ -178,7 +204,7 @@ def analyze_text(text, req=None):
     report["hilbert"] = hd.as_dict()
     if req.affine:
         report["hilbert"]["affine_hilbert_function"] = list(hd.H)
-    report["indicators"] = isx.as_dict(order)
+    report["indicators"] = isx.as_dict()
 
     budget = req.budget
     deltas = {}

@@ -339,11 +339,17 @@ def verify_socle_identities(A, cls):
             raise IdentityViolated(3, "top standard monomial must be essential")
         if last_var in monomial_support(t_a):
             raise IdentityViolated(3, "top standard monomial must be t_s-free")
-        for i, fi in enumerate(isx.fs):
-            if lambdas[i] != fi.leading_coeff(order):
+        # every f_i has degree r0, so the indicators are one block of rows
+        # over the standard monomials of degree r0; t^a is one of them
+        ((_, std, points, rows),) = isx.blocks
+        rows = embed(rows)
+        lcs = rows[np.arange(len(points)), np.argmax(rows != 0, axis=1)]
+        a = std.index(t_a)
+        others = [j for j, u in enumerate(std) if u[last_var] == 0 and j != a]
+        for i, row, lc in zip(points, rows, lcs.tolist()):
+            if lambdas[i] != lc:
                 raise IdentityViolated(3, f"lambda_{i + 1} != lc(f_{i + 1})")
-            rest = fi - Poly.monomial(fi.field, s, t_a, lambdas[i])
-            if any(u[last_var] == 0 for u in rest.terms):
+            if row[a] != lambdas[i] or np.any(row[others]):
                 raise IdentityViolated(
                     3, f"f_{i + 1} - lambda*t^a must be divisible by t_s"
                 )

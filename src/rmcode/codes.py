@@ -92,21 +92,6 @@ class LinearCode:
         return LinearCode(f, self.length, B)
 
 
-def code_of_degree(X, gb, d):
-    """C_X(d): the row space of the degree-d standard-monomial evaluations."""
-    if d < 0:
-        return LinearCode(X.field, X.m, np.zeros((0, X.m), dtype=np.int64))
-    monos = standard_monomials_upto(gb, X.s, d)[d]
-    rows = X.eval_monomials(monos)
-    C = LinearCode.from_rows(X.field, rows, length=X.m)
-    if C.dimension != len(monos):
-        # the evaluation map is injective on the span of standard monomials
-        raise InternalInconsistency(
-            f"dim C_X({d}) = {C.dimension} != |footprint_{d}| = {len(monos)}"
-        )
-    return C
-
-
 def dual_code(C):
     """C^perp as an RREF nullspace basis, read off the RREF basis of C."""
     f = C.field

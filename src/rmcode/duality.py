@@ -192,7 +192,7 @@ def local_duality_verify(A, gamma1, gamma2, t_e, projective_mode=False):
 
     # gamma . ev(Gamma1) lies in ev(Gamma2)^perp by one product; it is all of
     # it: distinct standard monomials evaluate independently (the rank that
-    # code_of_degree traps), gamma has no zero entry since t_e is in the
+    # Analysis.code traps), gamma has no zero entry since t_e is in the
     # support of every f_i, and |Gamma1| + |Gamma2| = m
     gamma = [
         f.div(fi.coeff(t_e), val) for fi, val in zip(isx.fs, isx.values)

@@ -4,30 +4,43 @@ essential monomials."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import linalg
 from .errors import InternalInconsistency
-from .groebner import standard_monomials_upto
-from .polyring import Poly, format_monomial
+from .polyring import Poly, coefficient_text, format_monomial, join_terms
 
 
 @dataclass
 class IndicatorSet:
     """The m standard indicator functions of a point set.
 
-    ``fs[i]`` is the unique (up to scalar) standard polynomial of minimal
-    degree with f(P_j) = 0 for j != i and f(P_i) != 0, normalized to leading
-    coefficient 1.  ``values[i]`` is the code of f_i(P_i); ``degrees[i]`` is
-    the local v-number at P_i.
+    f_i is the unique (up to scalar) standard polynomial of minimal degree
+    with f(P_j) = 0 for j != i and f(P_i) != 0, normalized to leading
+    coefficient 1.  ``blocks`` holds them by degree as (d, std, points,
+    rows): row k is the coefficient vector of f_(points[k]) over the
+    standard monomials ``std`` of degree d, descending.  ``values[i]`` is
+    the code of f_i(P_i); ``degrees[i]`` is the local v-number at P_i.
     """
 
-    fs: list
+    field: object
+    blocks: list
     values: list
     degrees: list
     essential: list
     r0: int
+
+    @cached_property
+    def fs(self):
+        """The indicators as polynomials, built on first use."""
+        fs = [None] * len(self.degrees)
+        for _, std, points, rows in self.blocks:
+            for i, row in zip(points, rows):
+                fs[i] = Poly(
+                    self.field, len(std[0]), {std[j]: row[j] for j in np.flatnonzero(row)}
+                )
+        return fs
 
     @property
     def v_number(self):
@@ -39,20 +52,32 @@ class IndicatorSet:
         the r-th generalized Hamming weight function."""
         return tuple(sorted(self.degrees))
 
-    def as_dict(self, order):
-        field = self.fs[0].field
-        return {
-            "indicators": [
-                {
+    def as_dict(self):
+        field = self.field
+        coeffs = {}  # the text of each coefficient code that occurs
+        entries = [None] * len(self.degrees)
+        for d, std, points, rows in self.blocks:
+            monos = [format_monomial(u) if d else "" for u in std]
+            for i, row in zip(points, rows):
+                terms = []
+                for j in np.flatnonzero(row):
+                    c = int(row[j])
+                    text = coeffs.get(c)
+                    if text is None:
+                        text = coeffs[c] = coefficient_text(field, c)
+                    terms.append((*text, monos[j]))
+                entries[i] = {
                     "degree": d,
-                    "polynomial": f.to_str(order),
-                    "value_at_own_point": field.format_element(v, signed=True),
+                    "polynomial": join_terms(terms),
+                    "value_at_own_point": field.format_element(
+                        self.values[i], signed=True
+                    ),
                     "leading_coefficient": field.format_element(
-                        f.leading_coeff(order), signed=True
+                        int(row[row != 0][0]), signed=True
                     ),
                 }
-                for f, v, d in zip(self.fs, self.values, self.degrees)
-            ],
+        return {
+            "indicators": entries,
             "essential_monomials": [format_monomial(u) for u in self.essential],
             "v_number": self.v_number,
             "v_local": list(self.degrees),
@@ -60,63 +85,44 @@ class IndicatorSet:
         }
 
 
-def _solve_indicators(field, M, new):
-    """The solutions c of M c = e_i, one row for each i in ``new``, from one
-    RREF of [M | E_new]; M has full column rank and each e_i lies in its
-    column space."""
-    width = M.shape[1]
-    E = np.zeros((M.shape[0], len(new)), dtype=np.int64)
-    E[new, np.arange(len(new))] = 1
-    R, pivots = linalg.rref(field, np.concatenate([M, E], axis=1))
-    if pivots != tuple(range(width)):
-        raise InternalInconsistency(
-            "an indicator system is inconsistent or its solution not unique"
-        )
-    return R[:, width:].T
-
-
 def standard_indicators(A):
     """The IndicatorSet of the ``Analysis`` A.
 
-    f_i has the smallest degree d at which e_i lies in C_X(d).  That holds
-    exactly when a row of the RREF basis of C_X(d) equals e_i, since a
-    unit vector off the pivot columns reduces to 0.  So the new indicators
-    of each degree are read off ``A.code(d)``, and only they are solved for
-    over the degree-d standard monomials, whose evaluation matrix has full
-    column rank, so the solution is unique.
+    f_i has the smallest degree d at which e_i lies in C_X(d).  The
+    elimination of degree d in ``vanishing_ideal`` gives, for each point
+    first separated there, a standard polynomial of degree d that is
+    nonzero at that point only; it is unique up to scalar, because the
+    degree-d standard monomials evaluate independently.  Each is scaled to
+    leading coefficient 1, its first entry, and the vanishing pattern of
+    every degree is checked by one product with the evaluations.
     """
-    X, gb, r0 = A.X, A.gb, A.hd.r0
+    X, r0 = A.X, A.hd.r0
     f = X.field
     m = X.m
-    per_degree = standard_monomials_upto(gb, X.s, r0)
-
-    fs = [None] * m
+    values = [None] * m
     degrees = [None] * m
-    for d in range(r0 + 1):
-        C = A.code(d)
-        units = np.flatnonzero(np.count_nonzero(C.basis, axis=1) == 1)
-        new = [C.pivots[r] for r in units if degrees[C.pivots[r]] is None]
-        if not new:
+    blocks = []
+    for d, (std, points, rows) in enumerate(A.ideal.separators):
+        if not points:
             continue
-        monos = per_degree[d]
-        sols = _solve_indicators(f, X.eval_monomials(monos).T, new)
-        for i, x in zip(new, sols):
-            fs[i] = Poly(f, X.s, {u: int(c) for u, c in zip(monos, x) if c})
-            degrees[i] = d
+        vals = f.matmul(rows, X.eval_monomials(std))
+        own = vals[np.arange(len(points)), points]
+        pattern = np.zeros_like(vals)
+        pattern[np.arange(len(points)), points] = own
+        if np.any(vals != pattern) or not np.all(own):
+            raise InternalInconsistency("indicator vanishing pattern violated")
+        lcs = rows[np.arange(len(points)), np.argmax(rows != 0, axis=1)]
+        inv = f.arr([f.inv(int(c)) for c in lcs])
+        for i, v in zip(points, f.mul_arr(own, inv).tolist()):
+            values[i], degrees[i] = v, d
+        blocks.append((d, std, points, f.mul_arr(rows, inv[:, None])))
     if None in degrees:
         raise InternalInconsistency(
             "indicator systems must be solvable at degree r0"
         )
 
-    order = gb.order
-    fs = [g.monic(order) for g in fs]
-    vals = X.eval_polys(fs)
-    values = np.diagonal(vals)
-    if np.any(vals != np.diag(values)) or not np.all(values):
-        raise InternalInconsistency("indicator vanishing pattern violated")
-
-    support = set(fs[0].terms)
-    for g in fs[1:]:
-        support &= set(g.terms)
-    essential = order.sorted_desc(support)
-    return IndicatorSet(fs, values.tolist(), degrees, essential, r0)
+    essential = []
+    if len(blocks) == 1:
+        _, std, _, rows = blocks[0]
+        essential = [std[j] for j in np.flatnonzero(np.all(rows != 0, axis=0))]
+    return IndicatorSet(f, blocks, values, degrees, essential, r0)

@@ -228,28 +228,11 @@ class Poly:
     # text form
 
     def to_str(self, order=GREVLEX):
-        if not self.terms:
-            return "0"
         f = self.field
-        parts = []
-        for u in order.sorted_desc(self.terms):
-            c = self.terms[u]
-            mono = format_monomial(u) if sum(u) else ""
-            cs = f.format_element(c, signed=True)
-            neg = cs.startswith("-")
-            if neg:
-                cs = cs[1:]
-            if "+" in cs or "-" in cs:
-                cs = f"({cs})"
-            if mono:
-                body = mono if cs == "1" else f"{cs}*{mono}"
-            else:
-                body = cs
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append(("-" if neg else "+") + body)
-        return "".join(parts)
+        return join_terms(
+            (*coefficient_text(f, self.terms[u]), format_monomial(u) if sum(u) else "")
+            for u in order.sorted_desc(self.terms)
+        )
 
     def __repr__(self):
         return self.to_str()
@@ -328,6 +311,28 @@ def parse_poly(field, nvars, text):
             coeff = field.neg(coeff)
         out = out + Poly.monomial(field, nvars, tuple(expo), coeff)
     return out
+
+
+def coefficient_text(field, code):
+    """(negative, text) of a coefficient as a polynomial prints it: the
+    signed literal without its sign, parenthesized when it is a sum."""
+    cs = field.format_element(code, signed=True)
+    neg = cs.startswith("-")
+    if neg:
+        cs = cs[1:]
+    if "+" in cs or "-" in cs:
+        cs = f"({cs})"
+    return neg, cs
+
+
+def join_terms(terms):
+    """The text of a polynomial from its terms (negative, coefficient text,
+    monomial text), leading term first; the monomial text of 1 is empty."""
+    parts = []
+    for neg, cs, mono in terms:
+        body = (mono if cs == "1" else f"{cs}*{mono}") if mono else cs
+        parts.append(("-" if neg else "+" if parts else "") + body)
+    return "".join(parts) or "0"
 
 
 def format_monomial(u):

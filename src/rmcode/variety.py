@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codes import LinearCode
 from .errors import (
     DimensionMismatch,
     DuplicatePoint,
@@ -27,7 +28,7 @@ from .groebner import (
     gb_certify,
     standard_monomials_upto,
 )
-from .linalg import rref
+from .linalg import rref, rref_transform
 from .polyring import (
     GREVLEX,
     Poly,
@@ -312,14 +313,63 @@ def basis_elements(field, candidates, std, nf, leads):
     return out
 
 
+def transform_step(X, candidates):
+    """One degree d <= r0 of the interpolation: one RREF of
+    [ev(candidates) | I], the candidates descending.
+
+    The rows with a pivot among the points give the RREF basis of C_X(d)
+    (their point part) and, in their transform part, each basis row as a
+    combination of candidates.  The other rows are the RREF of the
+    relations among the evaluations, the polynomials of I(X)_d over the
+    candidates: each pivots at its leading monomial u, a candidate that is
+    not standard, and is zero at every other such column, so it is
+    u - NF(u) over the transform columns without a pivot, the standard
+    candidates.  Being zero there too, the transform part of a basis row
+    equal to e_c is the standard polynomial of degree d that is 1 at P_c
+    and 0 at every other point.
+
+    Returns (basis, std, relations, points, rows): the (H, m) RREF basis
+    of C_X(d); the indices of the standard candidates, ascending; the
+    relation rows over the candidates; the points c with e_c in C_X(d);
+    and the transform rows of those basis rows.
+    """
+    m = X.m
+    R, pivots = rref_transform(X.field, X.eval_monomials(candidates))
+    k = sum(1 for c in pivots if c < m)
+    basis = R[:k, :m].copy()  # not a view that keeps R alive
+    leads = {c - m for c in pivots[k:]}
+    std = [j for j in range(len(candidates)) if j not in leads]
+    units = np.flatnonzero(np.count_nonzero(basis, axis=1) == 1)
+    points = [pivots[r] for r in units]
+    return basis, std, R[k:, m:], points, R[units, m:]
+
+
+@dataclass(frozen=True)
+class VanishingIdeal:
+    """The certified reduced basis ``gb`` of I(X), with what its
+    eliminations of degrees 0..r0 give besides: ``codes[d]`` is C_X(d)
+    with its RREF basis, and ``separators[d]`` is (std, points, rows): the
+    standard monomials of degree d, descending, and for each point P_c
+    first separated in degree d, the coefficients over them of a standard
+    polynomial that is nonzero at P_c only."""
+
+    gb: GroebnerBasis
+    codes: tuple
+    separators: tuple
+
+
 def vanishing_ideal(X, order=GREVLEX):
-    """Reduced certified Groebner basis of the homogeneous vanishing ideal.
+    """Reduced certified Groebner basis of the homogeneous vanishing ideal,
+    with the codes and separators of its interpolation.
 
     Degree-by-degree interpolation: the candidates of degree d are the
     monomials above the standard monomials of degree d - 1 that no leading
-    monomial divides, and ``interpolation_step`` gives the standard ones and
-    the basis elements.  I(X) is generated in degrees <= r0 + 1, and a
-    basis complete up to the largest degree of lcm(u, v) over non-coprime
+    monomial divides.  Up to r0 each degree is one ``transform_step``,
+    which gives the standard ones, the basis elements, C_X(d) and the
+    points first separated in degree d; past r0, C_X(d) is all of F_q^m,
+    and ``interpolation_step`` gives the standard candidates and the basis
+    elements alone.  I(X) is generated in degrees <= r0 + 1, and a basis
+    complete up to the largest degree of lcm(u, v) over non-coprime
     leading monomials u, v reduces every S-polynomial to zero, so the
     interpolation runs until it has passed both.
     """
@@ -329,23 +379,42 @@ def vanishing_ideal(X, order=GREVLEX):
     order.resolved_perm(s)
     gens = []
     leads = []
+    codes, separators = [], []
+    separated = np.zeros(m, dtype=bool)
     r0 = None
     bound = 0  # the largest degree of an S-pair of the leads found so far
-    d = 0
-    accepted = _next_layer(None, s, leads)
+    d = -1
+    accepted = None
     while r0 is None or d < max(r0 + 1, bound):
         d += 1
         if d > 4 * (m + s):  # unreachable for honest inputs; loud bug trap
             raise InternalInconsistency("interpolation failed to stabilize")
-        candidates = sorted(_next_layer(accepted, s, leads), key=order.key)
-        std, nf = interpolation_step(X, candidates)
+        candidates = _next_layer(accepted, s, leads)
         old = len(leads)
-        gens += basis_elements(f, candidates, std, nf, leads)
+        if r0 is None:
+            candidates.sort(key=order.key, reverse=True)
+            basis, std, relations, points, rows = transform_step(X, candidates)
+            for row in relations[::-1]:
+                j = int(np.flatnonzero(row)[0])
+                terms = {candidates[j]: 1}
+                terms.update((candidates[c], row[c]) for c in reversed(std) if row[c])
+                gens.append(Poly(f, s, terms))
+                leads.append(candidates[j])
+            new = [r for r, c in enumerate(points) if not separated[c]]
+            fresh = [points[r] for r in new]
+            separated[fresh] = True
+            accepted = tuple(candidates[c] for c in std)
+            codes.append(LinearCode(f, m, basis))
+            separators.append((accepted, fresh, rows[new][:, std]))
+        else:
+            candidates.sort(key=order.key)
+            std, nf = interpolation_step(X, candidates)
+            gens += basis_elements(f, candidates, std, nf, leads)
+            accepted = [candidates[c] for c in std]  # standard monomials of degree d
         for i in range(old, len(leads)):
             for v in leads[:i]:
                 if not monomial_coprime(leads[i], v):
                     bound = max(bound, sum(monomial_lcm(leads[i], v)))
-        accepted = [candidates[c] for c in std]  # standard monomials of degree d
         if r0 is None and len(accepted) == m:
             r0 = d
 
@@ -354,7 +423,9 @@ def vanishing_ideal(X, order=GREVLEX):
         raise InternalInconsistency("the interpolated basis failed certification")
     if np.any(X.eval_polys(gens)):
         raise InternalInconsistency("basis element does not vanish on X")
-    return GroebnerBasis(order, gens, certified=True)
+    return VanishingIdeal(
+        GroebnerBasis(order, gens, certified=True), tuple(codes), tuple(separators)
+    )
 
 
 # -- Hilbert data -----------------------------------------------------------------

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from rmcode import codes, duality, groebner
+from rmcode import codes, duality, groebner, linalg
 from rmcode.analysis import Analysis, AnalysisRequest, analyze_text
 from rmcode.gf import Field
 from rmcode.golden import CORPUS, load_entry, run_entry
@@ -70,12 +70,23 @@ def _track(monkeypatch, *fns):
 
 @pytest.mark.parametrize("name", ["projective_plane_f3", "gorenstein_five_points"])
 def test_analyze_builds_each_code_and_dual_once(name, monkeypatch):
-    built = _count_calls(monkeypatch, codes.code_of_degree, lambda X, gb, d: d)
+    """Each C_X(d), d <= r0, is eliminated once, by the step of degree d
+    of the interpolation of I(X); no other code is eliminated from
+    evaluations, and each dual is built once."""
+    assert not hasattr(codes, "code_of_degree")
+    steps = _count_calls(monkeypatch, linalg.rref_transform, lambda field, mat: len(mat))
+    from_rows = []
+    real_from_rows = codes.LinearCode.from_rows
+    monkeypatch.setattr(
+        codes.LinearCode,
+        "from_rows",
+        classmethod(lambda cls, *a, **k: from_rows.append(1) or real_from_rows(*a, **k)),
+    )
     duals = _count_calls(monkeypatch, codes.dual_code, id)
     report, _ = analyze_text(load_entry(name)[0], EVERY_FLAG)
     r0 = report["hilbert"]["r0"]
-    assert set(built) >= set(range(1, r0 + 1))
-    assert max(built.values()) == 1
+    assert sum(steps.values()) == r0 + 1
+    assert not from_rows
     assert duals and max(duals.values()) == 1
 
 
@@ -215,7 +226,7 @@ def test_cached_codes_are_shared_and_read_only(F3):
 
 def test_groebner_basis_cannot_change_under_its_staircase(F3):
     X = PointSet(F3, [[1, 0, 1], [0, 1, 1], [1, 1, 1], [2, 1, 1]])
-    gb = vanishing_ideal(X)
+    gb = vanishing_ideal(X).gb
     layers = standard_monomials_upto(gb, 3, 4)
     assert isinstance(gb.gens, tuple)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -251,7 +262,7 @@ def test_staircase_matches_the_monomial_filter():
         if len(rows) >= 2:
             cases.append((PointSet(f, sorted(rows), dedup=True), TermOrder("glex")))
     for X, order in cases:
-        gb = vanishing_ideal(X, order)
+        gb = vanishing_ideal(X, order).gb
         top = X.m + 2
         layers = standard_monomials_upto(gb, X.s, top)
         for d in range(top + 1):
@@ -268,3 +279,25 @@ def test_hilbert_value_everywhere(F3):
 def test_zero_ideal_staircase():
     empty = GroebnerBasis(GREVLEX, ())
     assert [len(layer) for layer in standard_monomials_upto(empty, 3, 3)] == [1, 3, 6, 10]
+
+
+def test_code_past_r0_builds_no_staircase_layer(monkeypatch):
+    """From r0 on, C_X(d) is all of F_q^m: ``code(99)`` builds no staircase
+    layer, and ``--ghw 99,1`` builds no more layers than ``--ghw r0,1`` and
+    gives the same cells."""
+    text = load_entry("projective_plane_f3")[0]
+    A = Analysis(points_parse(text)[0])
+    r0, s = A.hd.r0, A.X.s
+    built = len(A.gb._staircase[s])
+    assert A.code(99).dimension == A.X.m and A.code(99) == A.code(r0)
+    assert len(A.gb._staircase[s]) == built
+
+    def run(d):
+        layers = _count_calls(
+            monkeypatch, groebner._next_layer, lambda layer, *_: sum(layer[0]) + 1 if layer else 0
+        )
+        report, _ = analyze_text(text, AnalysisRequest(ghw_cells=((d, 1),)))
+        monkeypatch.undo()
+        return list(report["codes"]["ghw"].values()), max(layers)
+
+    assert run(99) == run(r0)

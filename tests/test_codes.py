@@ -5,11 +5,11 @@ from math import comb
 import numpy as np
 import pytest
 
+from interpolation_oracle import code_of_degree
 from rmcode import codes, linalg
 from rmcode.analysis import Analysis
 from rmcode.codes import (
     LinearCode,
-    code_of_degree,
     dual_code,
     dual_sweep_size,
     footprint_matrix,
@@ -32,6 +32,7 @@ from rmcode.variety import (
     PointSet,
     hilbert_data,
     points_full_projective,
+    points_torus,
     points_parse,
     vanishing_ideal,
 )
@@ -84,7 +85,7 @@ def test_min_distance_full_space(F3):
 
 def test_min_distance_torus_mds(F5):
     X = PointSet(F5, [[1, 1], [2, 1], [3, 1], [4, 1]])
-    gb = vanishing_ideal(X)
+    gb = vanishing_ideal(X).gb
     C = code_of_degree(X, gb, 1)
     assert min_distance(C) == 3 == X.m - C.dimension + 1
 
@@ -315,7 +316,7 @@ def test_representative_independence_of_weights(F3, F5):
         X = PointSet(f, rows, canonicalize=False)
         lam = [rng.randrange(1, q) for _ in range(m)]
         Y = rescaled(X, lam)
-        gbX, gbY = vanishing_ideal(X), vanishing_ideal(Y)
+        gbX, gbY = vanishing_ideal(X).gb, vanishing_ideal(Y).gb
         hdX = hilbert_data(gbX, m, nvars=s)
         for d in range(1, hdX.r0 + 1):
             CX, CY = code_of_degree(X, gbX, d), code_of_degree(Y, gbY, d)
@@ -333,7 +334,7 @@ def test_monomial_equivalence_identity(F3):
 
 def test_monomial_equivalence_torus_witness(F5):
     X = PointSet(F5, [[1, 1], [2, 1], [3, 1], [4, 1]])
-    gb = vanishing_ideal(X)
+    gb = vanishing_ideal(X).gb
     C1 = code_of_degree(X, gb, 1)
     beta = [F5.parse_element(t) for t in ("-1", "3", "-3", "1")]
     assert monomially_equivalent(C1, dual_code(C1), beta)
@@ -385,7 +386,7 @@ def _check_wei(C, limit):
 
 def test_wei_route_on_golden_codes():
     for _, X, order in _golden_point_sets():
-        gb = vanishing_ideal(X, order)
+        gb = vanishing_ideal(X, order).gb
         hd = hilbert_data(gb, X.m, nvars=X.s)
         for d in range(0, hd.r0 + 2):
             _check_wei(code_of_degree(X, gb, d), limit=20_000)
@@ -446,7 +447,7 @@ def test_footprint_matrix_matches_per_cell_footprint(F3, F4, F5):
             cases.append((X, order, 20))
     unsaturated = 0
     for X, order, budget in cases:
-        gb = vanishing_ideal(X, order)
+        gb = vanishing_ideal(X, order).gb
         hd = hilbert_data(gb, X.m, nvars=X.s)
         assert footprint_matrix(X, gb, hd.r0, budget=budget) == _footprint_oracle(
             X, gb, hd, budget
@@ -489,7 +490,7 @@ def test_macwilliams_route_on_golden_codes():
     too_big = set()
     for name, X, order in _golden_point_sets():
         for o in (order, GREVLEX, TermOrder("glex")):
-            gb = vanishing_ideal(X, o)
+            gb = vanishing_ideal(X, o).gb
             hd = hilbert_data(gb, X.m, nvars=X.s)
             for d in range(1, hd.r0 + 1):
                 C = code_of_degree(X, gb, d)
@@ -623,3 +624,47 @@ def test_containment_and_scaling_match_the_elimination_oracles():
             assert self_orthogonal(A, d) == want
             outcomes.add(want)
     assert outcomes == {True, False}
+
+
+def _sorensen(q, s, d):
+    """Minimum distance of C_X(d) on all of P^(s-1)(F_q), d >= 1 (Sorensen,
+    "Projective Reed-Muller codes", IEEE-IT 1991)."""
+    if d > (s - 1) * (q - 1):
+        return 1
+    t, u = divmod(d - 1, q - 1)
+    return (q - u) * q ** (s - t - 2)
+
+
+def _torus_distance(q, s, d):
+    """Minimum distance of C_X(d) on the projective torus of P^(s-1)(F_q),
+    d >= 1 (Sarmiento, Vaz Pinto and Villarreal, AAECC 2011)."""
+    if d >= (q - 2) * (s - 1):
+        return 1
+    k = (d - 1) // (q - 2)
+    return (q - 1) ** (s - k - 2) * (q - 1 - (d - k * (q - 2)))
+
+
+@pytest.mark.parametrize(
+    "kind, formula", [("projective", _sorensen), ("torus", _torus_distance)]
+)
+def test_min_distance_meets_the_closed_forms(kind, formula):
+    """Every cell d = 1..r0 + 1 within a budget of 2 * 10^5 projective
+    codewords equals the closed form, on projective spaces and tori with
+    q <= 7 and s <= 4."""
+    make = points_full_projective if kind == "projective" else points_torus
+    checked = over = 0
+    for q, s in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3),
+                 (5, 2), (5, 3), (7, 2), (7, 3)]:
+        F = Field(2, 2) if q == 4 else Field(q)
+        if kind == "torus" and (q - 1) ** (s - 1) < 2:
+            continue
+        A = Analysis(make(s, F))
+        for d in range(1, A.hd.r0 + 2):
+            try:
+                delta = min_distance(A.code(d), limit=200_000)
+            except BudgetExceeded:
+                over += 1
+                continue
+            assert delta == formula(q, s, d), (q, s, d)
+            checked += 1
+    assert checked >= 25 and over >= 1

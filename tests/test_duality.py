@@ -5,11 +5,11 @@ import random
 import numpy as np
 import pytest
 
+from interpolation_oracle import code_of_degree
 from rmcode import linalg
 from rmcode.analysis import Analysis, affine_duality
 from rmcode.codes import (
     LinearCode,
-    code_of_degree,
     dual_code,
     min_distance,
     monomially_equivalent,

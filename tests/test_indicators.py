@@ -1,10 +1,11 @@
+import collections
 import random
 
 import numpy as np
 import pytest
 
 from elimination_oracle import solve
-from rmcode import indicators, linalg
+from rmcode import indicators, linalg, variety
 from rmcode.analysis import Analysis
 from rmcode.errors import InternalInconsistency
 from rmcode.gf import Field
@@ -200,33 +201,47 @@ def test_indicators_match_the_per_degree_oracle_on_random_sets():
 def test_indicators_solve_only_at_degrees_with_new_indicators(
     nine_points, ten_points, monkeypatch
 ):
-    """With every C_X(d) built, the indicators take one RREF per distinct
-    local v-number (the parent solved a system at every degree 0..r0)."""
+    """The indicators are read off the eliminations of the interpolation:
+    no RREF, and one evaluation of the standard monomials per distinct
+    local v-number, for the one vanishing-pattern product of that degree."""
     for A in (nine_points, ten_points):
         A = Analysis(A.X, A.order)
-        for d in range(A.hd.r0 + 1):
-            A.code(d)
-        calls = []
-        rref = linalg.rref
-        monkeypatch.setattr(linalg, "rref", lambda *a: calls.append(1) or rref(*a))
+        A.hd
+        calls = collections.Counter()
+        for name in ("rref", "rref_transform"):
+            real = getattr(linalg, name)
+            monkeypatch.setattr(
+                linalg, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a)
+            )
+        real_eval = PointSet.eval_monomials
+        monkeypatch.setattr(
+            PointSet,
+            "eval_monomials",
+            lambda self, monos: calls.update([sum(monos[0])]) or real_eval(self, monos),
+        )
         isx = indicators.standard_indicators(A)
         monkeypatch.undo()
-        assert len(calls) == len(set(isx.degrees)) < A.hd.r0 + 1
+        assert calls == collections.Counter(set(isx.degrees))
+        assert len(set(isx.degrees)) < A.hd.r0 + 1
 
 
 def test_vanishing_pattern_trap_catches_a_wrong_indicator(nine_points, monkeypatch):
-    """An indicator that is also nonzero at another point trips the
-    vanishing-pattern trap, checked by one product for all indicators."""
-    solve = indicators._solve_indicators
+    """An indicator row that is also nonzero at another point trips the
+    vanishing-pattern trap, checked by one product per degree."""
+    step = variety.transform_step
 
-    def corrupted(field, M, new):
-        sols = solve(field, M, new)
-        sols[0] = field.add_arr(sols[0], sols[1])
-        return sols
+    def corrupted(X, candidates):
+        basis, std, relations, points, rows = step(X, candidates)
+        if len(points) >= 2:
+            rows = rows.copy()
+            rows[0] = X.field.add_arr(rows[0], rows[1])
+        return basis, std, relations, points, rows
 
-    monkeypatch.setattr(indicators, "_solve_indicators", corrupted)
+    monkeypatch.setattr(variety, "transform_step", corrupted)
+    A = Analysis(nine_points.X)
+    A.hd
     with pytest.raises(InternalInconsistency, match="vanishing pattern"):
-        indicators.standard_indicators(Analysis(nine_points.X))
+        indicators.standard_indicators(A)
 
 
 def test_colon_witness_catches_a_wrong_indicator(nine_points):

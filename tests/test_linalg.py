@@ -59,3 +59,26 @@ def test_rref_matches_the_per_pivot_oracle(F):
         deficient += 0 < len(pivots) < min(mat.shape)
     assert deficient >= 4
 
+
+
+@pytest.mark.parametrize("F", [Field(2), Field(7), Field(3, 2), Field(2**31 - 1)], ids=repr)
+def test_rref_transform_is_the_rref_beside_the_identity(F):
+    """``rref_transform(M)`` is ``rref([M | I])`` on every shape: rank
+    deficient, with a zero row, with more rows than columns and fewer."""
+    rng = random.Random(F.q + 1)
+    seen = set()
+    for mat in _matrices(rng, F):
+        for M in (mat, np.insert(mat, len(mat) // 2, 0, axis=0)):
+            n, w = M.shape
+            R, pivots = linalg.rref_transform(F, M)
+            want, want_pivots = linalg.rref(
+                F, np.concatenate([M, np.eye(n, dtype=np.int64)], axis=1)
+            )
+            assert pivots == want_pivots
+            assert R.shape == want.shape == (n, w + n) and np.array_equal(R, want)
+            rank = sum(1 for c in pivots if c < w)
+            seen.add(("deficient", 0 < rank < min(n, w)))
+            seen.add(("zero row", bool(n) and not np.all(np.any(M, axis=1))))
+            seen.add(("shape", (n > w) - (n < w)))
+    assert {("deficient", True), ("zero row", True)} <= seen
+    assert {("shape", 1), ("shape", -1), ("shape", 0)} <= seen
