@@ -33,7 +33,6 @@ from .codes import (
     dual_code,
     ghw,
     min_distance,
-    monomially_equivalent,
     weight_distribution,
     weight_matrix,
 )
@@ -54,4 +53,4 @@ from .artinian import (
     socle,
     verify_socle_identities,
 )
-from .analysis import Analysis, affine_duality
+from .analysis import Analysis

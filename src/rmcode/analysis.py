@@ -107,14 +107,6 @@ class Analysis:
         return self.code(d).dual
 
 
-def affine_duality(field, affine_rows):
-    """The affine criterion via the projective closure Y = [X, 1]; returns
-    the certificate, the affine Hilbert data and the ``Analysis`` of Y."""
-    A = Analysis(projective_closure(field, affine_rows), GREVLEX)
-    cert = global_duality(A)
-    return cert, {"affine_hilbert_function": list(A.hd.H), "r0": A.hd.r0}, A
-
-
 @dataclass
 class AnalysisRequest:
     order: TermOrder | None = None

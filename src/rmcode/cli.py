@@ -2,8 +2,9 @@
 run the embedded golden corpus.
 
 Exit codes: 0 success; 1 a requested predicate came out false (only with
---strict); 2 input error; 3 enumeration budget exceeded; 4 internal
-inconsistency (a certified fact failed direct verification).
+--strict), or the golden corpus diverged from its stored values; 2 input
+error; 3 enumeration budget exceeded; 4 internal inconsistency (a certified
+fact failed direct verification).
 """
 
 from __future__ import annotations

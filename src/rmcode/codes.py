@@ -518,19 +518,3 @@ def weight_matrix(A, budget=None, fp=None):
 
     cells = [[cell(d, r) for r in range(1, m + 1)] for d in range(1, r0 + 1)]
     return WeightMatrix(r0, m, tuple(hd.H), cells, fpm, budget)
-
-
-# -- monomial equivalence ----------------------------------------------------------
-
-
-def monomially_equivalent(C1, C2, beta):
-    """Verify C2 = beta . C1 for the witness beta."""
-    if C1.length != C2.length:
-        raise ValueError("codes of different lengths")
-    ok = C1.scaled(beta) == C2
-    if ok:
-        # symmetric form of the witness (dual equation)
-        d1, d2 = C1.dual, C2.dual
-        if not d2 == d1.scaled([C1.field.inv(int(b)) for b in beta]):
-            raise InternalInconsistency("dual form of the witness failed")
-    return ok

@@ -1,36 +1,37 @@
 """Embedded corpus of worked examples with stored expected values.
 
-Each entry is a points file plus a JSON file of expected invariants; the
-runner recomputes everything and reports divergences.  A stored ``gb`` must
-be the reduced Groebner basis under the entry's order, which is unique, and
-is compared generator by generator; stored ``ideal_gens`` are compared as an
-ideal, by linear algebra against the certified basis.  Indicator functions
-are compared up to scalar (leading coefficient 1), numeric invariants
-exactly.
+Each entry is a points file plus a JSON file of expected facts.  The runner
+analyses the points once with ``analyze_text``, the pipeline behind
+``rmcode analyze``: duality, Gorenstein and self-duality always, the weight
+matrix only when one is stored, the regular linear form from the entry's
+``artinian_h``.  It then compares every stored fact with one path of that
+report through ``TABLE``.  The fields of a stored record (``duality``,
+``gorenstein``, ``socle``) are facts of their own, under dotted keys such
+as ``gorenstein.type``.
+
+A stored ``gb`` must be the reduced Groebner basis under the entry's order,
+which is unique; stored ``ideal_gens`` are compared as an ideal, by linear
+algebra against the report's basis.  Indicator functions are compared up to
+scalar (leading coefficient 1), the parity-check vector beta up to scalar,
+minimum distances in the stored degrees, everything else exactly.  An
+``affine_source`` entry also runs the affine route on its chart rows, which
+must give the projective report's Hilbert function, duality verdict and
+beta.  The facts that the report does not carry (footprints, direct dual
+pairs, other regular forms, local duality) are checked by the test suite on
+the same files.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from importlib import resources
 
-import numpy as np
-
-from .analysis import Analysis, affine_duality
-from .artinian import classify, verify_socle_identities
-from .codes import LinearCode, min_distance, monomially_equivalent, weight_matrix
-from .duality import (
-    global_duality,
-    gorenstein_crosscheck,
-    gorenstein_selfdual_classify,
-    local_duality_verify,
-    self_dual_report,
-)
+from .analysis import AnalysisRequest, analyze_text
 from .errors import InternalInconsistency
-from .groebner import generates, minimal_generator_count, standard_monomials_upto
+from .groebner import GroebnerBasis, generates
 from .polyring import GREVLEX, parse_monomial, parse_poly
-from .variety import points_parse
+from .variety import format_points, parse_points_text
 
 CORPUS = (
     "ci_four_points",
@@ -56,6 +57,16 @@ def load_entry(name):
     points_text = (pkg / f"{name}.points").read_text(encoding="utf-8")
     expected = json.loads((pkg / f"{name}.json").read_text(encoding="utf-8"))
     return points_text, expected
+
+
+def stored_facts(entry, prefix=""):
+    """The (dotted key, value) facts of a golden JSON entry: a record's
+    fields are facts of their own, a map keyed by degree is one fact."""
+    for key, value in entry.items():
+        if isinstance(value, dict) and not all(k.isdigit() for k in value):
+            yield from stored_facts(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
 
 
 @dataclass
@@ -89,252 +100,195 @@ def _beta_proportional(field, got, expected_codes):
     return True
 
 
-def run_entry(name, expected=None, budget=None):
+# normalizers: a stored or reported value in the form both are compared in;
+# ``ring`` is the entry's parsed points file with its order resolved
+
+
+def _polys(texts, ring):
+    return [parse_poly(ring.field, ring.s, t).monic(ring.order) for t in texts]
+
+
+def _reduced_basis(texts, ring):
+    gens = [parse_poly(ring.field, ring.s, t) for t in texts]
+    o = ring.order
+    return sorted(
+        (g.monic(o) for g in gens if not g.is_zero()),
+        key=lambda g: o.key(g.leading_monomial(o)),
+    )
+
+
+def _elements(texts, ring):
+    return [ring.field.parse_element(t) for t in texts]
+
+
+def _monomials(texts, ring):
+    return sorted(parse_monomial(ring.s, t) for t in texts)
+
+
+def _monomial(text, ring):
+    return parse_monomial(ring.s, text)
+
+
+def _normalized(norm):
+    """Agreement once both values are normalized; an absent report value
+    agrees with nothing."""
+    return lambda want, got, ring: got is not None and norm(want, ring) == norm(got, ring)
+
+
+def _same(want, got, ring):
+    return want == got
+
+
+def _generate_the_ideal(want, got, ring):
+    return generates(_polys(want, ring), GroebnerBasis(ring.order, _polys(got, ring)))
+
+
+def _proportional(want, got, ring):
+    f = ring.field
+    return got is not None and _beta_proportional(f, _elements(got, ring), _elements(want, ring))
+
+
+def _in_stored_degrees(want, got, ring):
+    return all(got.get(int(d)) == v for d, v in want.items())
+
+
+def _at_degree_1(want, got, ring):
+    """``got`` holds one value per degree d = 1..r0."""
+    return got is not None and got[:1] == [want]
+
+
+# computed report values: functions of (report, ring) where a path would do
+
+
+def _mds_at_1(report, ring):
+    return (
+        report["codes"]["min_distance"][1]
+        == report["input"]["m"] - report["hilbert"]["H"][1] + 1
+    )
+
+
+def _monomially_self_dual_degrees(report, ring):
+    entries = report["self_duality"].get("gorenstein_classification", ())
+    return [e["d"] for e in entries if e["monomially_self_dual"]]
+
+
+def _weights(report, ring):
+    """The weight matrix as the corpus stores it: exact values, "inf", and
+    an open interval as its report dict."""
+    wm = report["codes"]["weight_matrix"]
+    return [
+        [c["value"] if c["kind"] == "exact" else "inf" if c["kind"] == "infinity" else c
+         for c in row]
+        for row in wm["cells"]
+    ]
+
+
+def _footprint_equals_weights(report, ring):
+    wm = report["codes"]["weight_matrix"]
+    return [[c.get("value") for c in row] for row in wm["cells"]] == wm["footprint"]
+
+
+def _affine_route_agrees(report, ring):
+    """The affine route on the chart rows (the points with their last
+    coordinate, always 1, dropped) gives the projective report's Hilbert
+    function, duality verdict and beta."""
+    f = ring.field
+    points = [_elements(row, ring) for row in report["input"]["points"]]
+    if any(row[-1] != 1 for row in points):
+        raise InternalInconsistency("an affine source needs every last coordinate 1")
+    text = format_points(f, ring.s - 1, [row[:-1] for row in points])
+    affine, _ = analyze_text(text, AnalysisRequest(affine=True, duality=True))
+    cert, acert = report["duality"], affine["duality"]
+    return (
+        affine["hilbert"]["affine_hilbert_function"] == report["hilbert"]["H"]
+        and acert["holds"] == cert["holds"]
+        and (
+            acert["beta"] is None
+            if cert["beta"] is None
+            else _proportional(cert["beta"], acert["beta"], ring)
+        )
+    )
+
+
+# stored key -> (report path, agreement of the stored and the reported value)
+TABLE = {
+    "m": ("input.m", _same),
+    "r0": ("hilbert.r0", _same),
+    "H": ("hilbert.H", _same),
+    "h_vector": ("hilbert.h_vector", _same),
+    "gb": ("vanishing_ideal.groebner_basis", _normalized(_reduced_basis)),
+    "ideal_gens": ("vanishing_ideal.groebner_basis", _generate_the_ideal),
+    "indicators": ("indicators.indicators.polynomial", _normalized(_polys)),
+    "indicator_values": ("indicators.indicators.value_at_own_point", _normalized(_elements)),
+    "v_local": ("indicators.v_local", _same),
+    "v_number": ("indicators.v_number", _same),
+    "R": ("indicators.v_sorted", _same),
+    "essential": ("indicators.essential_monomials", _normalized(_monomials)),
+    "min_distance": ("codes.min_distance", _in_stored_degrees),
+    "mds_at_1": (_mds_at_1, _same),
+    "duality.holds": ("duality.holds", _same),
+    "duality.beta": ("duality.beta", _proportional),
+    "duality.failure_reason": ("duality.failure_witness.reason", _same),
+    "duality.failure_v": ("duality.failure_witness.v", _same),
+    "duality.failure_d": ("duality.failure_witness.d", _same),
+    "duality.failure_sum": ("duality.failure_witness.sum", _same),
+    "gorenstein.gorenstein": ("artinian.gorenstein", _same),
+    "gorenstein.type": ("artinian.type", _same),
+    "gorenstein.level": ("artinian.level", _same),
+    "gorenstein.s_number": ("artinian.s_number", _same),
+    "gorenstein.socle_degrees": ("artinian.socle_degrees", _same),
+    "gorenstein.min_gens": ("vanishing_ideal.minimal_generators", _same),
+    "gorenstein.complete_intersection": ("vanishing_ideal.complete_intersection", _same),
+    "socle.socle_monomial": ("artinian.socle_monomial", _normalized(_monomial)),
+    "socle.remainder_lambdas": ("artinian.socle_identities.lambdas", _normalized(_elements)),
+    "self_orthogonal_degrees": ("self_duality.self_orthogonal_degrees", _same),
+    "self_dual_degrees": ("self_duality.self_dual_degrees", _same),
+    "point_matrix_self_dual_at_1": (
+        "self_duality.gorenstein_classification.point_matrix_self_dual",
+        _at_degree_1,
+    ),
+    "monomially_self_dual_degrees": (_monomially_self_dual_degrees, _same),
+    "weight_matrix": (_weights, _same),
+    "footprint_equals_weights": (_footprint_equals_weights, _same),
+    "affine_source": (_affine_route_agrees, _same),
+}
+
+
+def _read(report, path, ring):
+    """The report value at a dotted path (a key read on a list is read on
+    each of its items), None where it is absent; or a computed value."""
+    if callable(path):
+        return path(report, ring)
+    node = report
+    for key in path.split("."):
+        if isinstance(node, list):
+            node = [item.get(key) for item in node]
+        elif isinstance(node, dict):
+            node = node.get(key)
+    return node
+
+
+def run_entry(name, expected=None):
     points_text, stored = load_entry(name)
     exp = stored if expected is None else expected
+    parsed = parse_points_text(points_text)
+    ring = replace(parsed, order=parsed.order or GREVLEX)
+    req = AnalysisRequest(
+        duality=True,
+        gorenstein=True,
+        selfdual=True,
+        weights="weight_matrix" in exp,
+        artinian_h=exp.get("artinian_h"),
+    )
+    report, _ = analyze_text(points_text, req)
     res = ExampleResult(name)
-
-    X, file_order = points_parse(points_text)
-    order = file_order or GREVLEX
-    f = X.field
-    s = X.s
-
-    res.record("m", X.m == exp["m"], f"m={X.m}")
-    A = Analysis(X, order)
-    gb, hd, isx = A.gb, A.hd, A.isx
-
-    res.record("r0", hd.r0 == exp["r0"], f"r0={hd.r0}")
-    res.record("H", list(hd.H) == exp["H"], f"H={list(hd.H)}")
-    if "h_vector" in exp:
-        res.record("h_vector", list(hd.h_vector) == exp["h_vector"], str(hd.h_vector))
-
-    if "gb" in exp:
-        # a reduced basis is unique for the ideal and the order
-        parsed = [parse_poly(f, s, t) for t in exp["gb"]]
-        want = sorted(
-            (g.monic(order) for g in parsed if not g.is_zero()),
-            key=lambda g: order.key(g.leading_monomial(order)),
-        )
-        res.record("gb", tuple(want) == gb.gens, f"computed {gb.to_strings()}")
-    if "ideal_gens" in exp:
-        parsed = [parse_poly(f, s, t) for t in exp["ideal_gens"]]
-        res.record("ideal_gens", generates(parsed, gb), f"computed {gb.to_strings()}")
-
-    if "indicators" in exp:
-        want = [parse_poly(f, s, t).monic(order) for t in exp["indicators"]]
-        res.record(
-            "indicators",
-            want == isx.fs,
-            "; ".join(g.to_str(order) for g in isx.fs),
-        )
-    if "indicator_values" in exp:
-        want = [f.parse_element(t) for t in exp["indicator_values"]]
-        res.record("indicator_values", want == isx.values, str(isx.values))
-    if "v_local" in exp:
-        res.record("v_local", list(isx.degrees) == exp["v_local"], str(isx.degrees))
-    if "v_number" in exp:
-        res.record("v_number", isx.v_number == exp["v_number"], str(isx.v_number))
-    if "essential" in exp:
-        want = sorted(parse_monomial(s, t) for t in exp["essential"])
-        res.record("essential", want == sorted(isx.essential), str(isx.essential))
-
-    if "footprints" in exp:
-        ok = True
-        for dstr, monos in exp["footprints"].items():
-            d = int(dstr)
-            want = sorted(parse_monomial(s, t) for t in monos)
-            got = sorted(standard_monomials_upto(gb, s, d)[d])
-            ok = ok and want == got
-        res.record("footprints", ok)
-
-    if "min_distance" in exp:
-        ok = True
-        detail = []
-        for dstr, val in exp["min_distance"].items():
-            got = min_distance(A.code(int(dstr)))
-            detail.append(f"d{dstr}={got}")
-            ok = ok and got == val
-        res.record("min_distance", ok, " ".join(detail))
-
-    if "mds_at_1" in exp:
-        delta1 = min_distance(A.code(1))
-        is_mds = delta1 == X.m - hd.H[1] + 1
-        res.record("mds_at_1", is_mds == exp["mds_at_1"], f"delta(1)={delta1}")
-
-    if "R" in exp:
-        res.record("R", list(isx.v_sorted) == exp["R"], str(isx.v_sorted))
-
-    cert = None
-    if "duality" in exp:
-        cert = global_duality(A)
-        dx = exp["duality"]
-        ok = cert.holds == dx["holds"]
-        detail = f"holds={cert.holds}"
-        if ok and dx.get("beta") is not None and cert.holds:
-            want = [f.parse_element(t) for t in dx["beta"]]
-            ok = _beta_proportional(f, cert.beta, want)
-            detail += f" beta={cert.beta}"
-        if ok and not dx["holds"]:
-            w = cert.failure_witness
-            if "failure_reason" in dx:
-                ok = w["reason"] == dx["failure_reason"]
-            if ok and "failure_v" in dx:
-                ok = w.get("v") == dx["failure_v"] and w.get("r0") == hd.r0
-            if ok and "failure_d" in dx:
-                ok = w.get("d") == dx["failure_d"] and w.get("sum") == dx["failure_sum"]
-            detail += f" witness={w}"
-        res.record("duality", ok, detail)
-
-    if "dual_pairs_direct" in exp:
-        ok = all(
-            A.dual(d1) == A.code(d2)
-            for d1, d2 in exp["dual_pairs_direct"]
-        )
-        res.record("dual_pairs_direct", ok)
-
-    sd_report = None
-    if "self_orthogonal_degrees" in exp or "self_dual_degrees" in exp:
-        sd_report = self_dual_report(A)
-        for key in ("self_orthogonal_degrees", "self_dual_degrees"):
-            if key in exp:
-                res.record(key, sd_report[key] == exp[key], str(sd_report[key]))
-
-    cls = None
-    if "gorenstein" in exp:
-        h_override = (
-            parse_poly(f, s, exp["artinian_h"]) if "artinian_h" in exp else None
-        )
-        cls = classify(A, h=h_override)
-        gx = exp["gorenstein"]
-        ok = cls.gorenstein == gx["gorenstein"]
-        detail = f"gorenstein={cls.gorenstein} type={cls.type_}"
-        if ok and "type" in gx:
-            ok = cls.type_ == gx["type"]
-        if ok and "level" in gx:
-            ok = cls.level == gx["level"]
-        if ok and "s_number" in gx:
-            ok = cls.s_number == gx["s_number"]
-        if ok and "socle_degrees" in gx:
-            ok = cls.socle_degrees == gx["socle_degrees"]
-        res.record("gorenstein", ok, detail)
-        if "min_gens" in gx or "complete_intersection" in gx:
-            mg = minimal_generator_count(gb, hd.r0)
-            is_ci = mg == s - 1
-            ok = True
-            if "min_gens" in gx:
-                ok = ok and mg == gx["min_gens"]
-            if "complete_intersection" in gx:
-                ok = ok and is_ci == gx["complete_intersection"]
-            if is_ci and not cls.gorenstein:
-                ok = False
-            res.record("generators", ok, f"min_gens={mg} ci={is_ci}")
-        if cert is not None:
-            res.record(
-                "duality_gorenstein_crosscheck",
-                gorenstein_crosscheck(cert, cls) in (True, False),
-                f"shared verdict {cert.holds}",
-            )
-        if "other_regular_forms" in exp:
-            ok = True
-            for t in exp["other_regular_forms"]:
-                hpoly = parse_poly(f, s, t)
-                ok = ok and bool(np.all(X.eval_polys([hpoly])))
-            res.record("other_regular_forms", ok)
-
-    if "socle" in exp and cls is not None and cls.gorenstein:
-        sx = exp["socle"]
-        rep = verify_socle_identities(A, cls)
-        ok = True
-        if "socle_monomial" in sx:
-            ok = cls.socle_monomial == parse_monomial(s, sx["socle_monomial"])
-        if ok and "remainder_lambdas" in sx:
-            want = [f.parse_element(t) for t in sx["remainder_lambdas"]]
-            ok = rep["lambdas"] == want
-        res.record("socle", ok, f"t^a={cls.socle_monomial} lambdas={rep['lambdas']}")
-
-    classified = None
-    if cls is not None and (
-        "point_matrix_self_dual_at_1" in exp or "monomially_self_dual_degrees" in exp
-    ):
-        classified = gorenstein_selfdual_classify(A, cls, sd_report)
-    if "point_matrix_self_dual_at_1" in exp and classified is not None:
-        entry = next(e for e in classified if e["d"] == 1)
-        res.record(
-            "point_matrix_self_dual_at_1",
-            entry.get("point_matrix_self_dual") == exp["point_matrix_self_dual_at_1"],
-            str(entry),
-        )
-    if "monomially_self_dual_degrees" in exp and classified is not None:
-        got = [e["d"] for e in classified if e["monomially_self_dual"]]
-        res.record(
-            "monomially_self_dual_degrees",
-            got == exp["monomially_self_dual_degrees"],
-            str(got),
-        )
-        # a monomially self-dual degree carries a verified witness
-        for e in classified:
-            if e["monomially_self_dual"] and cert is not None and cert.holds:
-                ok = monomially_equivalent(A.code(e["d"]), A.dual(e["d"]), cert.beta)
-                res.record("monomial_equivalence_witness", ok, f"d={e['d']}")
-
-    if "local_duality" in exp:
-        lx = exp["local_duality"]
-        g1 = [parse_monomial(s, t) for t in lx["gamma1"]]
-        g2 = [parse_monomial(s, t) for t in lx["gamma2"]]
-        te = parse_monomial(s, lx["t_e"])
-        rep = local_duality_verify(A, g1, g2, te, projective_mode=lx["projective_mode"])
-        want = [f.parse_element(t) for t in lx["gamma"]]
-        res.record("local_duality", rep["gamma"] == want, f"gamma={rep['gamma']}")
-        if "ev_gamma1_span" in lx:
-            rows = [[f.parse_element(t) for t in row] for row in lx["ev_gamma1_span"]]
-            want_code = LinearCode.from_rows(f, rows)
-            got_code = LinearCode.from_rows(f, X.eval_monomials(g1), length=X.m)
-            ok = want_code == got_code
-            rows2 = [[f.parse_element(t) for t in row] for row in lx["ev_gamma2_span"]]
-            ok = ok and LinearCode.from_rows(f, rows2) == LinearCode.from_rows(
-                f, X.eval_monomials(g2), length=X.m
-            )
-            res.record("local_duality_spans", ok)
-
-    if "weight_matrix" in exp:
-        wm = weight_matrix(A, budget=budget)
-        ok = True
-        for d in range(1, hd.r0 + 1):
-            for r in range(1, X.m + 1):
-                cell = wm.cell(d, r)
-                want = exp["weight_matrix"][d - 1][r - 1]
-                if want == "inf":
-                    ok = ok and cell.kind == "infinity"
-                else:
-                    ok = ok and cell.kind == "exact" and cell.value == want
-        res.record("weight_matrix", ok, "all cells exact" if wm.all_exact() else "intervals left")
-        if exp.get("footprint_equals_weights"):
-            okfp = all(
-                wm.fp[d - 1][r - 1] == exp["weight_matrix"][d - 1][r - 1]
-                for d in range(1, hd.r0 + 1)
-                for r in range(1, X.m + 1)
-                if exp["weight_matrix"][d - 1][r - 1] != "inf"
-            )
-            res.record("footprint_equals_weights", okfp)
-
-    if exp.get("affine_source"):
-        # the same certificate must come out of the affine route
-        last = s - 1
-        if not np.all(X.coords[:, last] == 1):
-            raise InternalInconsistency(
-                f"golden entry {name} has an affine source but a last coordinate != 1"
-            )
-        affine_rows = [list(map(int, row[:-1])) for row in X.coords]
-        acert, ainfo, _ = affine_duality(f, affine_rows)
-        ok = (
-            acert.holds == cert.holds
-            and ainfo["affine_hilbert_function"] == list(hd.H)
-            and _beta_proportional(f, acert.beta, cert.beta)
-        )
-        res.record("affine_duality", ok, f"H^a={ainfo['affine_hilbert_function']}")
-
+    for key, want in stored_facts(exp):
+        if key in TABLE:
+            path, agree = TABLE[key]
+            got = _read(report, path, ring)
+            res.record(key, agree(want, got, ring), f"report {got}")
     return res
 
 
-def run_corpus(names=None, budget=None):
-    return [run_entry(n, budget=budget) for n in (names or CORPUS)]
+def run_corpus(names=None):
+    return [run_entry(n) for n in (names or CORPUS)]

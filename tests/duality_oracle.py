@@ -2,13 +2,19 @@
 against its dual, the Gorenstein classification from its own degree-2d
 parity, and local duality against the dual of ev(Gamma2).  They are the
 oracles of ``duality.self_dual_report``, ``gorenstein_selfdual_classify``
-and ``local_duality_verify``."""
+and ``local_duality_verify``.  Also the monomial-equivalence witness and
+the affine duality criterion through the projective closure, which the
+golden corpus and the duality tests check."""
 
 import numpy as np
 
+from rmcode.analysis import Analysis
 from rmcode.codes import LinearCode, dual_code
-from rmcode.duality import _ones_parity
+from rmcode.duality import _ones_parity, global_duality
+from rmcode.errors import InternalInconsistency
 from rmcode.groebner import standard_monomials_upto
+from rmcode.polyring import GREVLEX
+from rmcode.variety import projective_closure
 
 
 def self_dual(A, d):
@@ -55,3 +61,24 @@ def local_duality(A, gamma1, gamma2, gamma):
         f, f.mul_arr(X.eval_monomials(gamma1), f.arr(gamma)[None, :]), length=X.m
     )
     return lhs == dual_code(LinearCode.from_rows(f, X.eval_monomials(gamma2), length=X.m))
+
+
+def monomially_equivalent(C1, C2, beta):
+    """Verify C2 = beta . C1 for the witness beta."""
+    if C1.length != C2.length:
+        raise ValueError("codes of different lengths")
+    ok = C1.scaled(beta) == C2
+    if ok:
+        # symmetric form of the witness (dual equation)
+        d1, d2 = C1.dual, C2.dual
+        if not d2 == d1.scaled([C1.field.inv(int(b)) for b in beta]):
+            raise InternalInconsistency("dual form of the witness failed")
+    return ok
+
+
+def affine_duality(field, affine_rows):
+    """The affine criterion via the projective closure Y = [X, 1]; returns
+    the certificate, the affine Hilbert data and the ``Analysis`` of Y."""
+    A = Analysis(projective_closure(field, affine_rows), GREVLEX)
+    cert = global_duality(A)
+    return cert, {"affine_hilbert_function": list(A.hd.H), "r0": A.hd.r0}, A

@@ -11,10 +11,12 @@ import pytest
 from rmcode import codes, duality, groebner, linalg
 from rmcode.analysis import Analysis, AnalysisRequest, analyze_text
 from rmcode.gf import Field
-from rmcode.golden import CORPUS, load_entry, run_entry
+from rmcode.golden import CORPUS, load_entry
 from rmcode.groebner import GroebnerBasis, standard_monomials_upto
 from rmcode.polyring import GREVLEX, TermOrder, monomial_divides, monomials_of_degree
 from rmcode.variety import PointSet, format_points, points_parse, points_torus, vanishing_ideal
+
+from test_golden import check_local_duality
 
 EVERY_FLAG = AnalysisRequest(
     duality=True,
@@ -177,8 +179,12 @@ def test_self_duality_builds_no_dual_and_no_code(monkeypatch):
     report, _ = analyze_text(load_entry("projective_line_f9")[0], req)
     assert report["self_duality"]["gorenstein_classification"]
     for name in ("ci_four_points", "affine_plane_f3"):
-        res = run_entry(name)
-        assert res.passed and "local_duality" in [c for c, _, _ in res.checks]
+        text, entry = load_entry(name)
+        X, order = points_parse(text)
+        A = Analysis(X, order or GREVLEX)
+        for d in range(A.hd.r0 + 1):
+            A.code(d)
+        assert A.isx and check_local_duality(A, entry)
     inside = {"self_dual_report", "gorenstein_selfdual_classify", "local_duality_verify"}
     assert {"self_dual_report", "local_duality_verify"} <= set(evaluated)
     assert not inside & set(duals) and not inside & set(built)

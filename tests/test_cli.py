@@ -4,8 +4,9 @@ import time
 
 import pytest
 
+from rmcode import golden
 from rmcode.cli import main
-from rmcode.golden import load_entry, run_entry
+from rmcode.golden import load_entry
 
 
 @pytest.fixture()
@@ -229,13 +230,16 @@ def test_golden_command(capsys):
     assert err.startswith("error: unknown example 'nonexistent'; known: ci_four_points")
 
 
-def test_golden_detects_perturbed_expectation():
-    """Harness self-test: a wrong stored value must surface as a divergence."""
-    _, expected = load_entry("ci_four_points")
+def test_golden_exits_1_on_a_divergence(monkeypatch, capsys):
+    """A wrong stored value surfaces as a divergence and exit code 1."""
+    text, expected = load_entry("ci_four_points")
     expected["r0"] = 3
-    res = run_entry("ci_four_points", expected=expected)
-    assert not res.passed
-    assert any(check == "r0" for check, _ in res.failures())
+    monkeypatch.setattr(golden, "load_entry", lambda name: (text, expected))
+    assert main(["golden", "ci_four_points"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL  ci_four_points")
+    assert "      divergence in r0: report 2\n" in out
+    assert "1 examples, 1 divergences" in out
 
 
 def test_json_report_matches_schema(frame_points_file, tmp_path, capsys):

@@ -18,7 +18,6 @@ from rmcode.codes import (
     ghw_hierarchy_via_dual,
     macwilliams,
     min_distance,
-    monomially_equivalent,
     projective_count,
     weight_distribution,
     weight_matrix,
@@ -37,6 +36,7 @@ from rmcode.variety import (
     vanishing_ideal,
 )
 
+from duality_oracle import monomially_equivalent
 from footprint_oracle import footprint, initial_ideal, is_saturated
 from pointwise_oracle import rescaled
 

@@ -7,12 +7,11 @@ import pytest
 
 from interpolation_oracle import code_of_degree
 from rmcode import linalg
-from rmcode.analysis import Analysis, affine_duality
+from rmcode.analysis import Analysis
 from rmcode.codes import (
     LinearCode,
     dual_code,
     min_distance,
-    monomially_equivalent,
 )
 from rmcode.duality import (
     _ones_parity,
@@ -33,6 +32,7 @@ from rmcode.variety import PointSet, points_full_projective, points_parse, point
 from rmcode.artinian import classify
 
 import duality_oracle
+from duality_oracle import affine_duality, monomially_equivalent
 
 
 def _proportional(field, a, b):
