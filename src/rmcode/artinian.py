@@ -148,16 +148,38 @@ def _first_regular_form(X):
     return None
 
 
+def _least_extension_degree(X):
+    """The least e that counting allows for a regular linear form over
+    F_{q^e}.
+
+    Write the coefficients of a form over F_{q^e} in a basis of F_{q^e}
+    over F_q: the form is e forms over F_q, and it vanishes at a point of
+    X exactly when all e do.  So it is regular on X exactly when the
+    common zeros of the e forms, a subspace of codimension <= e, miss X,
+    and then a subspace of codimension exactly e does.  That subspace has
+    (q^(s-e) - 1)/(q - 1) points, all among the N - m points of P^(s-1)
+    outside X.  e = s always passes: its subspace is 0.
+    """
+    q, s = X.field.q, X.s
+    outside = (q**s - 1) // (q - 1) - X.m
+    return next(e for e in range(1, s + 1) if (q ** (s - e) - 1) // (q - 1) <= outside)
+
+
 def find_regular_linear_form(X):
     """A degree-1 form avoiding every point of X, extending scalars if F_q
-    admits none.  Returns (h, extension_degree, X_over_h_field)."""
-    e, workX = 1, X
+    admits none.  Returns (h, extension_degree, X_over_h_field).
+
+    The degrees run up from the least one that counting allows, so no
+    field is built for a degree that cannot have a regular form, and the
+    first form found is the one a search from e = 1 finds.
+    """
+    e = _least_extension_degree(X)
     while True:
+        workX = X if e == 1 else X.lift(_extension_field(X.field, e))
         coeffs = _first_regular_form(workX)
         if coeffs is not None:
             return _linear_form(workX.field, X.s, coeffs), e, workX
         e += 1
-        workX = X.lift(_extension_field(X.field, e))
 
 
 def _extension_field(base, e):

@@ -33,6 +33,15 @@ TABLE_LIMIT = 1024
 # `Field.matmul` relies on it for its sums of such products.
 PRIME_LIMIT = 2**31
 
+# Every integer below 2**53 is a float64, so a float64 sum of nonnegative
+# integers is exact, in any order of summation, while it stays below this.
+FLOAT_EXACT = 2**53
+
+# ``Field.matmul`` over F_{p^k} takes the digit-slice product once the inner
+# dimension reaches this many times k, and one table product per inner index
+# below it (the README gives the measured crossover).
+SLICE_MIN_INNER = 2
+
 # Canonical monic moduli for the small extension fields used throughout
 # (ascending coefficients, degree-k entry = 1).  For every entry the basis
 # root `a` itself has multiplicative order q-1: it generates the unit group.
@@ -108,6 +117,12 @@ def search_modulus(p, k):
     raise NoModulusAvailable(f"no irreducible polynomial of degree {k} over F_{p}")
 
 
+def _mod_exact(x, p):
+    """x mod p for a float64 array of integers in [0, FLOAT_EXACT): the
+    quotient x / p is correctly rounded, so its floor is exact there."""
+    return x - p * np.floor(x / p)
+
+
 class Field:
     """An exact finite field F_q, q = p^k, acting on integer element codes."""
 
@@ -151,17 +166,30 @@ class Field:
     # -- construction of arithmetic ----------------------------------------
 
     def _init_tables(self):
-        """The add, mul, neg and inv tables of an extension field, from the
-        q x k digit matrix; a prime field has none and stays modular."""
+        """The arithmetic tables of an extension field; a prime field has
+        none and stays modular.
+
+        The code space is Z_p^k digitwise, so the q x q addition table is
+        the sum of k broadcast p x p digit tables, each on the pair of axes
+        of one digit, and negation is digitwise.  The product is Horner in
+        a over the digits of x, and inverses are x^(q-2) by
+        square-and-multiply on the code vector: O(q log q) gathers.
+        """
         p, k, q = self.p, self.k, self.q
         if k == 1:
             return
         weights = p ** np.arange(k)
-        digits = np.arange(q)[:, None] // weights % p
-        self._add_t = sum(
-            (digits[:, None, i] + digits[None, :, i]) % p * w
-            for i, w in enumerate(weights)
-        )
+        codes = np.arange(q)
+        digits = codes[:, None] // weights % p
+        # a code reshaped to (p,) * k has its top digit first
+        wrap = (np.arange(p)[:, None] + np.arange(p)) % p
+        add = np.zeros((p,) * (2 * k), dtype=np.int64)
+        for i, w in enumerate(weights):
+            axes = [1] * (2 * k)
+            axes[k - 1 - i] = axes[2 * k - 1 - i] = p
+            add += (wrap * w).reshape(axes)
+        self._add_t = add.reshape(q, q)
+        self._neg_t = (p - digits) % p @ weights
         # code maps y -> a*y (shift the digits up, reduce the top digit by
         # the monic modulus) and y -> c*y for each c in F_p
         top = digits[:, -1:]
@@ -173,8 +201,22 @@ class Field:
         for i in range(k - 2, -1, -1):
             mul = self._add_t[times_a[mul], scaled[digits[:, i]]]
         self._mul_t = mul
-        self._neg_t = np.argmax(self._add_t == 0, axis=1)
-        self._inv_t = np.argmax(mul == 1, axis=1)
+        # the slice tables of ``_slice_matmul``: the digits of every code,
+        # and [y, i, j] = digit j of a^i * y
+        powers = np.empty((q, k), dtype=np.int64)
+        powers[:, 0] = codes
+        for i in range(1, k):
+            powers[:, i] = times_a[powers[:, i - 1]]
+        self._digits_f = digits.astype(np.float64)
+        self._times_f = digits[powers].astype(np.float64)
+        self._weights_f = weights.astype(np.float64)
+        inv, base, e = np.ones(q, dtype=np.int64), codes, q - 2
+        while e:
+            if e & 1:
+                inv = self._mul_t[inv, base]
+            base = self._mul_t[base, base]
+            e >>= 1
+        self._inv_t = inv
 
     # -- scalar arithmetic on codes -----------------------------------------
 
@@ -255,20 +297,49 @@ class Field:
         int64 sums of up to (2**63 - 1) // (p-1)**2 of them are exact: the
         inner index runs in blocks of that length, each reduced mod p.
         p < PRIME_LIMIT keeps a block at 2 terms or more.  Over F_{p^k}
-        each inner index adds one table product.
+        the product runs on F_p digit slices (``_slice_matmul``) once
+        l >= SLICE_MIN_INNER * k; below that each inner index adds one
+        table product, which is cheaper than the slices' fixed costs.
         """
         a, b = self.arr(a), self.arr(b)
-        out = a[:, :0] @ b[:0]
         if self.k == 1:
             p = self.p
+            out = a[:, :0] @ b[:0]
             block = (2**63 - 1) // (p - 1) ** 2
             for i in range(0, a.shape[1], block):
                 out = (out + (a[:, i : i + block] @ b[i : i + block]) % p) % p
             return out
+        if a.shape[1] >= SLICE_MIN_INNER * self.k:
+            return self._slice_matmul(a, b)
+        out = a[:, :0] @ b[:0]
         for i in range(a.shape[1]):
             prod = self._mul_t[a[:, i, None], b[i]]
             out = self._add_t[out, prod] if i else prod
         return out
+
+    def _slice_matmul(self, a, b):
+        """a @ b over F_{p^k} as one float64 product over F_p.
+
+        With alpha the basis root and a = sum_i a_i * alpha^i digitwise,
+        a @ b = sum_i a_i @ (alpha^i * b): the k digit slices a_i of a
+        against the digits of alpha^i * b, which folds the degrees k..2k-2 of the slice products
+        by the monic modulus before the product is taken.  The float64
+        sums have l*k terms below p**2 each, so they are exact, in any
+        summation order, while l*k*(p-1)**2 < FLOAT_EXACT: the inner index
+        runs in blocks of that length, each reduced mod p.
+        """
+        p, k = self.p, self.k
+        (n, inner), c = a.shape, b.shape[1]
+        # columns (r, i): digit i of a[:, r]; rows (r, i) and columns
+        # (col, j): digit j of alpha^i * b[r, col]
+        A = self._digits_f[a].reshape(n, inner * k)
+        B = self._times_f[b].transpose(0, 2, 1, 3).reshape(inner * k, c * k)
+        # the columns of (FLOAT_EXACT - 1) // (k * (p-1)**2) inner indices
+        step = (FLOAT_EXACT - 1) // (k * (p - 1) ** 2) * k
+        out = np.zeros((n, c * k))
+        for i in range(0, inner * k, step):
+            out += _mod_exact(A[:, i : i + step] @ B[i : i + step], p)
+        return (_mod_exact(out, p).reshape(n, c, k) @ self._weights_f).astype(np.int64)
 
     # -- element codecs -------------------------------------------------------
 

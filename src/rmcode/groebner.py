@@ -6,6 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from math import comb
 
+import numpy as np
+
 from . import linalg
 from .errors import RingMismatch
 from .polyring import (
@@ -115,15 +117,25 @@ def standard_monomials_upto(gb, nvars, dmax):
     return layers[: dmax + 1]
 
 
+def _divided(monos, leads):
+    """The mask of the monomials that some monomial of ``leads`` divides:
+    one broadcast comparison of their exponent arrays."""
+    if not monos or not leads:
+        return np.zeros(len(monos), dtype=bool)
+    C, L = np.array(monos), np.array(leads)
+    return np.all(C[:, None] >= L[None], axis=2).any(axis=1)
+
+
 def _next_layer(layer, nvars, leads):
     """The monomials of degree e + 1 that no monomial of ``leads`` divides,
-    given those of degree e (``None`` gives degree 0).  They form an order
-    ideal, so each one is a variable times one of degree e."""
+    given those of degree e (``None`` gives degree 0), in no particular
+    order.  They form an order ideal, so each one is a variable times one
+    of degree e."""
     if layer is None:
-        cands = {(0,) * nvars}
+        cands = [(0,) * nvars]
     else:
-        cands = {u[:i] + (u[i] + 1,) + u[i + 1 :] for u in layer for i in range(nvars)}
-    return [v for v in cands if not any(monomial_divides(g, v) for g in leads)]
+        cands = list({u[:i] + (u[i] + 1,) + u[i + 1 :] for u in layer for i in range(nvars)})
+    return [v for v, hit in zip(cands, _divided(cands, leads)) if not hit]
 
 
 # -- the ideal of a certified basis, degree by degree ------------------------------

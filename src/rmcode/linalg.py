@@ -52,7 +52,13 @@ def nullspace(field, mat):
 
 def rref_nullspace(field, R, pivots):
     """RREF basis of {x : R @ x = 0} for R already in RREF with the given
-    pivot columns: x is free off the pivots and x[pivots] = -R x[free]."""
+    pivot columns: x is free off the pivots and x[pivots] = -R x[free].
+
+    The basis row of a free column f is e_f - sum_i R[i, f] * e_(p_i).  It
+    is not in echelon form: its first nonzero entry is at the first pivot
+    column p_i < f with R[i, f] != 0, where R's row i reaches right to f,
+    and rows of different free columns can start at the same pivot.  So
+    the rows span the nullspace but are no RREF until one is taken."""
     cols = R.shape[1]
     piv = set(pivots)
     free = [c for c in range(cols) if c not in piv]

@@ -24,6 +24,7 @@ from .errors import (
 from .gf import Field
 from .groebner import (
     GroebnerBasis,
+    _divided,
     _next_layer,
     gb_certify,
     standard_monomials_upto,
@@ -35,7 +36,6 @@ from .polyring import (
     TermOrder,
     coefficient_matrix,
     monomial_coprime,
-    monomial_divides,
     monomial_lcm,
 )
 
@@ -298,11 +298,13 @@ def interpolation_step(X, candidates, fixed=None):
 def basis_elements(field, candidates, std, nf, leads):
     """The new basis elements of one interpolation step: u minus its normal
     form for every candidate u that is not standard and that no monomial of
-    ``leads`` divides.  Their leading monomials are appended to ``leads``."""
+    ``leads`` divides.  Their leading monomials are appended to ``leads``;
+    the candidates share one degree, so no other candidate is a multiple
+    of one of them."""
     out = []
     is_std = set(std)
-    for j, u in enumerate(candidates):
-        if j in is_std or any(monomial_divides(v, u) for v in leads):
+    for j, (u, divided) in enumerate(zip(candidates, _divided(candidates, leads))):
+        if j in is_std or divided:
             continue
         terms = {u: 1}
         for r, c in zip(std, nf[:, j]):

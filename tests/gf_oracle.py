@@ -1,8 +1,12 @@
 """Powers of arrays of field codes by square-and-multiply on
 ``Field.mul_arr``, for the Frobenius and unit-group checks, the
 multiplicative order of an element with the smallest primitive element,
-and polynomial products over F_p: the reduced product of two field
-elements' digit tuples and every reducible monic polynomial of a degree."""
+polynomial products over F_p: the reduced product of two field
+elements' digit tuples and every reducible monic polynomial of a degree;
+and two table-driven routes of extension-field arithmetic: the product
+with one table gather per inner index, which ``Field.matmul`` keeps for
+small inner dimensions only, and a table builder that finds negatives
+and inverses by scanning the tables."""
 
 import numpy as np
 
@@ -85,3 +89,34 @@ def reducible_monics(p, k):
         for f in monics(p, a)
         for g in monics(p, k - a)
     }
+
+
+def table_matmul(field, a, b):
+    """a @ b over an extension field by one table product per inner
+    index: two q x q table gathers each."""
+    a, b = field.arr(a), field.arr(b)
+    out = a[:, :0] @ b[:0]
+    for i in range(a.shape[1]):
+        prod = field._mul_t[a[:, i, None], b[i]]
+        out = field._add_t[out, prod] if i else prod
+    return out
+
+
+def horner_tables(field):
+    """The add, mul, neg and inv tables of an extension field from the q x k
+    digit matrix: digitwise sums mod p, Horner in a over the digits of x,
+    and the negatives and inverses by an argmax scan of the tables."""
+    p, k, q = field.p, field.k, field.q
+    weights = p ** np.arange(k)
+    digits = np.arange(q)[:, None] // weights % p
+    add = sum(
+        (digits[:, None, i] + digits[None, :, i]) % p * w for i, w in enumerate(weights)
+    )
+    top = digits[:, -1:]
+    shifted = np.concatenate([np.zeros_like(top), digits[:, :-1]], axis=1)
+    times_a = (shifted - top * np.array(field.modulus[:k])) % p @ weights
+    scaled = np.arange(p)[:, None, None] * digits % p @ weights
+    mul = scaled[digits[:, -1]]
+    for i in range(k - 2, -1, -1):
+        mul = add[times_a[mul], scaled[digits[:, i]]]
+    return add, mul, np.argmax(add == 0, axis=1), np.argmax(mul == 1, axis=1)

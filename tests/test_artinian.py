@@ -1,17 +1,20 @@
 import itertools
+import json
 import random
 
 import numpy as np
 import pytest
 
 from elimination_oracle import artinian_steps_fixed_rows, solve
+from gf_oracle import table_matmul
 from groebner_oracle import buchberger
 from rmcode import artinian, linalg, variety
-from rmcode.analysis import Analysis
+from rmcode.analysis import Analysis, AnalysisRequest, analyze_text
 from rmcode.artinian import (
     _avoids_all,
     _extension_field,
     _first_regular_form,
+    _least_extension_degree,
     _linear_form,
     artinian_reduce,
     classify,
@@ -26,12 +29,19 @@ from rmcode.errors import (
     NotGorenstein,
     NotRegular,
     RMCodeError,
+    Unsupported,
 )
 from rmcode.gf import Field
 from rmcode.golden import CORPUS, load_entry
 from rmcode.groebner import normal_form, standard_monomials_upto
 from rmcode.polyring import GREVLEX, Poly, TermOrder, parse_monomial, parse_poly
-from rmcode.variety import PointSet, points_full_projective, points_parse
+from rmcode.variety import (
+    PointSet,
+    format_points,
+    points_full_projective,
+    points_parse,
+    points_torus,
+)
 
 
 def _candidate_forms(field, s):
@@ -172,6 +182,99 @@ def test_projective_line_f3_needs_extension(F3):
     h, e, bigX = find_regular_linear_form(X)
     assert e == 2 and bigX.field.q == 9
     assert np.all(bigX.eval_polys([h]))
+
+
+def _search_every_degree(X):
+    """Oracle: the search over F_{q^e} for e = 1, 2, ... until a form is
+    found, as (e, coefficients over F_{q^e})."""
+    e, workX = 1, X
+    while True:
+        coeffs = _first_regular_form(workX)
+        if coeffs is not None:
+            return e, _linear_form(workX.field, X.s, coeffs)
+        e += 1
+        workX = X.lift(_extension_field(X.field, e))
+
+
+def _full_space(q, s):
+    p = next(p for p in (2, 3, 5, 7) if q % p == 0)
+    return points_full_projective(s, Field(p, round(np.log(q) / np.log(p))))
+
+
+def test_counted_degree_finds_the_form_of_the_search_from_degree_one():
+    """The degree and h of the counted search equal the search from e = 1
+    on the corpus, on full spaces P^(s-1)(F_q), on a full space less one
+    point, and on seeded random subsets of every size."""
+    sets = [points_parse(load_entry(name)[0])[0] for name in CORPUS]
+    spaces = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3),
+              (5, 2), (5, 3), (7, 2), (9, 2))
+    for q, s in spaces:
+        full = _full_space(q, s)
+        sets += [full, PointSet(full.field, full.coords[1:])]
+    rng = random.Random(26)
+    for q, s in ((2, 3), (2, 4), (3, 3), (4, 3), (5, 3), (3, 2), (7, 2)):
+        full = _full_space(q, s)
+        for _ in range(6):
+            rows = rng.sample(range(full.m), rng.randint(2, full.m))
+            sets.append(PointSet(full.field, full.coords[sorted(rows)]))
+    degrees = []
+    for X in sets:
+        h, e, workX = find_regular_linear_form(X)
+        assert (e, h) == _search_every_degree(X)
+        assert workX.field == h.field and np.all(workX.eval_polys([h]))
+        assert _least_extension_degree(X) <= e
+        degrees.append(e)
+    # a full space needs e = s, a full space less one point e = s - 1
+    n = len(CORPUS)
+    assert degrees[n : n + 2 * len(spaces)] == [e for _, s in spaces for e in (s, s - 1)]
+    assert len(sets) == n + 2 * len(spaces) + 42
+    assert sum(e > 1 for e in degrees[n + 2 * len(spaces) :]) >= 10
+
+
+def test_counted_degree_past_the_table_limit_raises_as_the_search_does():
+    """P^1(F_37) needs F_{37^2}, beyond the table fields: the counted
+    search goes there at once and raises what the search from e = 1
+    raises."""
+    X = points_full_projective(2, Field(37))
+    assert _least_extension_degree(X) == 2
+    with pytest.raises(Unsupported) as want:
+        _search_every_degree(X)
+    with pytest.raises(Unsupported) as got:
+        find_regular_linear_form(X)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "make,s,p,k",
+    [(points_torus, 3, 3, 2), (points_full_projective, 3, 7, 1),
+     (points_full_projective, 4, 3, 1)],
+)
+def test_report_is_the_same_with_table_products(make, s, p, k, monkeypatch):
+    """The certificates of the torus in P^2(F_9), of P^2(F_7) over F_343
+    and of P^3(F_3) over F_81 are the same when every extension-field
+    product takes one table gather per inner index."""
+    F = Field(p, k)
+    X = make(s, F)
+    text = format_points(F, s, [[int(x) for x in row] for row in X.coords])
+    req = AnalysisRequest(duality=True, gorenstein=True, selfdual=True, budget=0)
+    slices = []
+    matmul, slice_matmul = Field.matmul, Field._slice_matmul
+
+    def spy(self, a, b):
+        slices.append(self.q)
+        return slice_matmul(self, a, b)
+
+    monkeypatch.setattr(Field, "_slice_matmul", spy)
+    want = json.dumps(analyze_text(text, req), sort_keys=True)
+    assert slices  # the slice route ran
+    monkeypatch.setattr(
+        Field,
+        "matmul",
+        lambda self, a, b: table_matmul(self, a, b) if self.k > 1 else matmul(self, a, b),
+    )
+    slices.clear()
+    assert json.dumps(analyze_text(text, req), sort_keys=True) == want
+    assert not slices
 
 
 def test_artinian_reduce_by_last_variable(five_points_frame, F3):

@@ -12,15 +12,20 @@ from rmcode.errors import (
     ReducibleModulus,
     Unsupported,
 )
+from functools import lru_cache
+
+from rmcode import gf
 from rmcode.gf import BUILTIN_MODULI, Field, is_irreducible, is_prime, search_modulus
 
 from gf_oracle import (
+    horner_tables,
     monics,
     order_of,
     poly_mulmod,
     pow_arr,
     primitive_element,
     reducible_monics,
+    table_matmul,
 )
 
 
@@ -382,3 +387,73 @@ def test_sub_mul_arr_matches_scalar_arithmetic(p, k):
             for i in range(5)
         ]
         assert got.dtype == np.int64 and got.tolist() == want
+
+
+# every extension field with tables: q = p^k <= 1024, k >= 2
+TABLE_FIELDS = [
+    (p, k) for p in range(2, 32) if is_prime(p) for k in range(2, 11) if p**k <= 1024
+]
+
+
+@lru_cache(maxsize=None)
+def _table_field(p, k):
+    return Field(p, k, search_modulus(p, k))
+
+
+def test_tables_match_the_horner_builder():
+    """The digitwise addition and negation tables and the square-and-multiply
+    inverses equal the builder that scans the tables, on every table field."""
+    assert len(TABLE_FIELDS) == 26
+    for p, k in TABLE_FIELDS:
+        F = _table_field(p, k)
+        add, mul, neg, inv = horner_tables(F)
+        for got, want in ((F._add_t, add), (F._mul_t, mul), (F._neg_t, neg), (F._inv_t, inv)):
+            assert got.dtype == np.int64 and np.array_equal(got, want), (p, k)
+
+
+def _codes(F, rng, shape):
+    """Random codes, half of them q - 1: every digit of q - 1 is p - 1, the
+    largest slice entry."""
+    return np.where(rng.random(shape) < 0.5, F.q - 1, rng.integers(0, F.q, size=shape))
+
+
+@pytest.mark.parametrize("p,k", TABLE_FIELDS)
+def test_slice_products_match_the_table_loop(p, k):
+    """On both sides of the crossover, l = 0 and a wide product included."""
+    F = _table_field(p, k)
+    rng = np.random.default_rng(F.q)
+    cross = gf.SLICE_MIN_INNER * k
+    for n, inner, c in ((3, 0, 4), (1, 1, 1), (5, cross - 1, 4), (4, cross, 6),
+                        (2, cross + 1, 1), (7, 40, 9)):
+        a, b = _codes(F, rng, (n, inner)), _codes(F, rng, (inner, c))
+        want = table_matmul(F, a, b)
+        for got in (F.matmul(a, b), F._slice_matmul(a, b)):
+            assert got.shape == (n, c) and got.dtype == np.int64
+            assert np.array_equal(got, want), (n, inner, c)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (7, 3), (3, 4), (2, 10), (31, 2)])
+def test_slice_products_block_at_the_float_bound(p, k, monkeypatch):
+    """The inner index is blocked where l*k*(p-1)**2 would reach
+    FLOAT_EXACT.  At the real bound a block is astronomically long, so the
+    bound is lowered to blocks of 1, 2 and 3 inner indices, and the
+    products straddle those lengths.  Each block product is reduced once,
+    and the sum of the blocks once more."""
+    F = _table_field(p, k)
+    rng = np.random.default_rng(F.q + 1)
+    term = k * (p - 1) ** 2
+    assert gf.FLOAT_EXACT == 2**53
+    reduced, mod_exact = [], gf._mod_exact
+    monkeypatch.setattr(gf, "_mod_exact", lambda x, p: reduced.append(x) or mod_exact(x, p))
+    for block in (1, 2, 3):
+        monkeypatch.setattr(gf, "FLOAT_EXACT", block * term + 1)
+        for inner in (block - 1, block, block + 1, 2 * block + 1, 7):
+            for a, b in (
+                (_codes(F, rng, (3, inner)), _codes(F, rng, (inner, 4))),
+                (np.full((2, inner), F.q - 1), np.full((inner, 3), F.q - 1)),
+            ):
+                reduced.clear()
+                assert np.array_equal(F._slice_matmul(a, b), table_matmul(F, a, b))
+                assert len(reduced) == -(-inner // block) + 1
+                # the last reduction is of the sum of the block residues
+                assert all(x.max(initial=0) < gf.FLOAT_EXACT for x in reduced[:-1])
