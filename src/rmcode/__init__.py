@@ -10,7 +10,6 @@ from .groebner import (
     GroebnerBasis,
     gb_certify,
     minimal_generator_count,
-    normal_form,
     standard_monomials_upto,
 )
 from .variety import (

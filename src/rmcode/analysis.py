@@ -121,6 +121,14 @@ class AnalysisRequest:
     artinian_h: str | None = None
 
 
+def _pinned_form(f, s, text):
+    """The coefficients of t1..ts of the linear form ``text``."""
+    h = parse_poly(f, s, text)
+    if h.homogeneous_degree() != 1:
+        raise InvalidParams(f"h = {text} is not a nonzero linear form")
+    return tuple(h.terms.get(tuple(int(i == j) for j in range(s)), 0) for i in range(s))
+
+
 def analyze_text(text, req=None):
     """Run the pipeline on a points file; returns (report, negatives).
 
@@ -128,6 +136,8 @@ def analyze_text(text, req=None):
     CLI's --strict exit code).
     """
     req = req or AnalysisRequest()
+    if req.artinian_h and not req.gorenstein:
+        raise InvalidParams("--artinian-h pins the form of --gorenstein, which is not requested")
     parsed = parse_points_text(text)
     f = parsed.field
     negatives = []
@@ -250,8 +260,7 @@ def analyze_text(text, req=None):
 
     cls = None
     if req.gorenstein:
-        h_override = parse_poly(f, s, req.artinian_h) if req.artinian_h else None
-        cls = classify(A, h=h_override)
+        cls = classify(A, h=_pinned_form(f, s, req.artinian_h) if req.artinian_h else None)
         report["artinian"] = cls.as_dict(order)
         report["artinian"]["crosscheck_with_duality"] = gorenstein_crosscheck(
             cert, cls

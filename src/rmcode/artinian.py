@@ -24,7 +24,7 @@ from .groebner import (
     gb_certify,
     standard_monomials_upto,
 )
-from .polyring import Poly, format_monomial, monomial_support
+from .polyring import format_monomial, monomial_support, row_text, term_texts
 from .variety import PointSet, basis_elements, interpolation_step
 
 
@@ -51,10 +51,10 @@ class ArtinianReduction:
 
 @dataclass
 class ArtinianClassification:
-    h: Poly
+    h: tuple                 # coefficients of t1..ts over the field of J
     extension_degree: int
     reduction: ArtinianReduction
-    socle: list              # (degree, standard polynomial) pairs
+    socle: list              # (degree, row over reduction.layer(degree))
     type_: int
     level: bool
     gorenstein: bool
@@ -70,8 +70,9 @@ class ArtinianClassification:
         return sorted({d for d, _ in self.socle})
 
     def as_dict(self, order):
+        F, red, cache = self.J_basis.field, self.reduction, {}
         return {
-            "h": self.h.to_str(order),
+            "h": _form_text(F, order, self.h),
             "extension_degree": self.extension_degree,
             "type": self.type_,
             "level": self.level,
@@ -79,7 +80,8 @@ class ArtinianClassification:
             "s_number": self.s_number,
             "socle_degrees": self.socle_degrees,
             "socle": [
-                {"degree": d, "polynomial": g.to_str(order)} for d, g in self.socle
+                {"degree": d, "polynomial": row_text(F, term_texts(red.layer(d)), row, cache)}
+                for d, row in self.socle
             ],
             "socle_monomial": None
             if self.socle_monomial is None
@@ -87,13 +89,19 @@ class ArtinianClassification:
         }
 
 
-def _linear_form(field, s, coeffs):
-    return Poly(field, s, {tuple(int(i == j) for j in range(s)): int(c)
-                           for i, c in enumerate(coeffs) if c})
+def _form_text(field, order, h):
+    """The text of the linear form with coefficients h of t1..ts."""
+    units = order.sorted_desc(tuple(int(i == j) for j in range(len(h))) for i in range(len(h)))
+    return row_text(field, term_texts(units), [h[u.index(1)] for u in units], {})
+
+
+def _form_values(X, coeffs):
+    """The values on X of the linear form with coefficients ``coeffs``."""
+    return X.field.matmul(X.coords, np.reshape(coeffs, (-1, 1)))[:, 0]
 
 
 def _avoids_all(X, coeffs):
-    return bool(np.all(X.field.matmul(X.coords, np.reshape(coeffs, (-1, 1)))))
+    return bool(np.all(_form_values(X, coeffs)))
 
 
 def _first_regular_form(X):
@@ -167,7 +175,8 @@ def _least_extension_degree(X):
 
 def find_regular_linear_form(X):
     """A degree-1 form avoiding every point of X, extending scalars if F_q
-    admits none.  Returns (h, extension_degree, X_over_h_field).
+    admits none.  Returns (h, extension_degree, X_over_h_field), h the
+    coefficients of t1..ts over the field of the last.
 
     The degrees run up from the least one that counting allows, so no
     field is built for a degree that cannot have a regular form, and the
@@ -178,7 +187,7 @@ def find_regular_linear_form(X):
         workX = X if e == 1 else X.lift(_extension_field(X.field, e))
         coeffs = _first_regular_form(workX)
         if coeffs is not None:
-            return _linear_form(workX.field, X.s, coeffs), e, workX
+            return coeffs, e, workX
         e += 1
 
 
@@ -199,9 +208,10 @@ def _over(X, F):
     return PointSet(F, table[X.coords], canonicalize=False), table.__getitem__
 
 
-def artinian_reduce(A, h):
-    """The reduction S/(I(X), h) of the ``Analysis`` A for a regular linear
-    form h, over the field of h.
+def artinian_reduce(A, h, F=None):
+    """The reduction S/(I(X), h) of the ``Analysis`` A for the regular
+    linear form with coefficients h of t1..ts over F, by default the field
+    of X.
 
     J_e = I(X)_e + h*S_{e-1}, so (S/J)_e = C_X(e) / h*C_X(e-1): each degree
     is one interpolation step on X modulo h*C_X(e-1), whose RREF basis is
@@ -209,30 +219,32 @@ def artinian_reduce(A, h):
     ``LinearCode.scaled``.  The steps stop at the first degree without a
     standard monomial, e = r0 + 1.
     """
-    F, order = h.field, A.order
+    F, order = F or A.X.field, A.order
     X, embed = _over(A.X, F)
     s, m = X.s, X.m
-    if h.homogeneous_degree() != 1:
-        raise InvalidParams(f"h = {h.to_str(order)} is not a nonzero linear form")
-    hvals = X.eval_polys([h])[0]
+    h = tuple(int(c) for c in h)
+    if len(h) != s or not any(h):
+        raise InvalidParams(f"h = {h} is not a nonzero linear form in {s} variables")
+    hvals = _form_values(X, h)
     if np.any(hvals == 0):
-        raise NotRegular(f"{h.to_str(order)} vanishes at a point of X")
-    gens, leads, steps = [], [], []
+        raise NotRegular(f"{_form_text(F, order, h)} vanishes at a point of X")
+    rows, leads, steps = [], [], []
     candidates = [(0,) * s]
     while True:
         hC = LinearCode(F, m, embed(A.code(len(steps) - 1).basis)).scaled(hvals)
         std, nf = interpolation_step(X, candidates, hC)
-        gens += basis_elements(F, candidates, std, nf, leads)
+        rows += basis_elements(F, candidates, std, nf, leads)
         steps.append((candidates, std, nf))
         if not std:
             break
         layer = [candidates[c] for c in std]
         candidates = sorted(_next_layer(layer, s, ()), key=order.key)
-    if not gb_certify(GroebnerBasis(order, gens)):
+    basis = GroebnerBasis(order, F, s, leads, rows)
+    if not gb_certify(basis):
         raise InternalInconsistency(
             "the interpolated basis of (I, h) failed certification"
         )
-    return ArtinianReduction(GroebnerBasis(order, gens, certified=True), steps)
+    return ArtinianReduction(basis, steps)
 
 
 def socle(red):
@@ -254,8 +266,7 @@ def socle(red):
             nf[:, [index[u[:i] + (u[i] + 1,) + u[i + 1 :]] for u in layer]]
             for i in range(s)
         ]
-        for vec in linalg.nullspace(f, np.concatenate(maps)):
-            soc.append((e, Poly(f, s, {u: int(c) for u, c in zip(layer, vec) if c})))
+        soc += [(e, vec) for vec in linalg.nullspace(f, np.concatenate(maps))]
     if not soc:
         raise InternalInconsistency("an Artinian quotient has a nonzero socle")
     type_ = len(soc)
@@ -267,16 +278,17 @@ def classify(A, h=None):
     """Full Artinian-reduction classification of the vanishing ideal of the
     ``Analysis`` A.
 
-    ``h`` may pin a particular regular linear form (over the base field);
+    ``h`` may pin a particular regular linear form, its coefficients of
+    t1..ts over the base field;
     by default the preference-ordered search is used, extending scalars when
     no form over F_q avoids all points.
     """
     X, hd = A.X, A.hd
     if h is None:
-        h, ext_degree, _ = find_regular_linear_form(X)
+        h, ext_degree, workX = find_regular_linear_form(X)
     else:
-        ext_degree = 1
-    red = artinian_reduce(A, h)
+        ext_degree, workX = 1, X
+    red = artinian_reduce(A, h, workX.field)
     soc, top, type_, level, gorenstein, s_number = socle(red)
     if top != hd.r0:
         raise InternalInconsistency(
@@ -326,12 +338,12 @@ def verify_socle_identities(A, cls):
     gb, isx = A.gb, A.isx
     r0 = A.hd.r0
     t_a = cls.socle_monomial
-    fstar = cls.h.field
+    fstar = cls.J_basis.field
     X, embed = _over(A.X, fstar)
     D = A.dual(r0 - 1)
     if D.dimension != 1:
         raise InternalInconsistency("C_X(r0-1)^perp must be one-dimensional")
-    hinv = fstar.arr([fstar.inv(int(v)) for v in X.eval_polys([cls.h])[0]])
+    hinv = fstar.arr([fstar.inv(int(v)) for v in _form_values(X, cls.h)])
     w = fstar.mul_arr(embed(D.basis[0]), hinv)
     dot = int(fstar.matmul(X.eval_monomials([t_a]), w[:, None])[0, 0])
     if dot == 0:
@@ -350,10 +362,9 @@ def verify_socle_identities(A, cls):
     order = gb.order
     perm = order.resolved_perm(s)
     last_var = perm[-1] - 1
-    ts_mono = tuple(int(i == last_var) for i in range(s))
     special = (
         order.kind == "grevlex"
-        and cls.h.terms == {ts_mono: 1}
+        and cls.h == tuple(int(i == last_var) for i in range(s))
         and bool(np.all(X.coords[:, last_var] == 1))
     )
     if special:

@@ -378,14 +378,6 @@ class WeightMatrix:
     fp: list                    # fp[d-1][r-1] or None where r > H(d)
     budget: int
 
-    def cell(self, d, r):
-        return self.cells[d - 1][r - 1]
-
-    def all_exact(self):
-        return all(
-            c.kind != "interval" for row in self.cells for c in row
-        )
-
     def as_dict(self):
         return {
             "r0": self.r0,

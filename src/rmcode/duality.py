@@ -194,9 +194,11 @@ def local_duality_verify(A, gamma1, gamma2, t_e, projective_mode=False):
     # it: distinct standard monomials evaluate independently (the rank that
     # Analysis.code traps), gamma has no zero entry since t_e is in the
     # support of every f_i, and |Gamma1| + |Gamma2| = m
-    gamma = [
-        f.div(fi.coeff(t_e), val) for fi, val in zip(isx.fs, isx.values)
-    ]
+    # an essential monomial is in the support of every f_i, so the
+    # indicators are one block of rows over the degree-r0 standard monomials
+    ((_, std, points, rows),) = isx.blocks
+    coeff = dict(zip(points, rows[:, std.index(t_e)].tolist()))
+    gamma = [f.div(coeff[i], val) for i, val in enumerate(isx.values)]
     lhs = f.mul_arr(X.eval_monomials(gamma1), f.arr(gamma)[None, :])
     if np.any(f.matmul(lhs, X.eval_monomials(gamma2).T)):
         raise InternalInconsistency("local duality identity failed verification")

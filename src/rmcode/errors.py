@@ -29,10 +29,6 @@ class DimensionMismatch(RMCodeError):
     pass
 
 
-class RingMismatch(RMCodeError):
-    pass
-
-
 class ZeroPoint(RMCodeError):
     pass
 

@@ -140,7 +140,8 @@ def _same(want, got, ring):
 
 
 def _generate_the_ideal(want, got, ring):
-    return generates(_polys(want, ring), GroebnerBasis(ring.order, _polys(got, ring)))
+    basis = GroebnerBasis.from_polys(ring.order, ring.field, ring.s, _polys(got, ring))
+    return generates(_polys(want, ring), basis)
 
 
 def _proportional(want, got, ring):

@@ -4,12 +4,11 @@ essential monomials."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import InternalInconsistency
-from .polyring import Poly, coefficient_text, format_monomial, join_terms
+from .polyring import format_monomial, row_text, term_texts
 
 
 @dataclass
@@ -31,17 +30,6 @@ class IndicatorSet:
     essential: list
     r0: int
 
-    @cached_property
-    def fs(self):
-        """The indicators as polynomials, built on first use."""
-        fs = [None] * len(self.degrees)
-        for _, std, points, rows in self.blocks:
-            for i, row in zip(points, rows):
-                fs[i] = Poly(
-                    self.field, len(std[0]), {std[j]: row[j] for j in np.flatnonzero(row)}
-                )
-        return fs
-
     @property
     def v_number(self):
         return min(self.degrees)
@@ -57,18 +45,11 @@ class IndicatorSet:
         coeffs = {}  # the text of each coefficient code that occurs
         entries = [None] * len(self.degrees)
         for d, std, points, rows in self.blocks:
-            monos = [format_monomial(u) if d else "" for u in std]
+            texts = term_texts(std)
             for i, row in zip(points, rows):
-                terms = []
-                for j in np.flatnonzero(row):
-                    c = int(row[j])
-                    text = coeffs.get(c)
-                    if text is None:
-                        text = coeffs[c] = coefficient_text(field, c)
-                    terms.append((*text, monos[j]))
                 entries[i] = {
                     "degree": d,
-                    "polynomial": join_terms(terms),
+                    "polynomial": row_text(field, texts, row, coeffs),
                     "value_at_own_point": field.format_element(
                         self.values[i], signed=True
                     ),

@@ -1,18 +1,18 @@
-"""Sparse multivariate polynomials over F_q and graded monomial orders.
-
-Monomials are plain exponent tuples; a ``Poly`` maps exponent tuples to
-nonzero coefficient codes of its field.  Only graded orders (GRevLex, GLex,
-each with a variable permutation) are exposed.
+"""Monomials, graded monomial orders (GRevLex and GLex, each with a
+variable permutation), and polynomials over F_q as text: ``parse_poly``
+reads a ``Poly``, a map of exponent tuples to nonzero coefficient codes,
+and ``row_text`` prints a coefficient row over monomials.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError, RingMismatch
+from .errors import DimensionMismatch, ParseError
 
 # -- monomials ----------------------------------------------------------------
 
@@ -24,10 +24,6 @@ def monomial_divides(u, v):
     """True when u | v."""
     return all(a <= b for a, b in zip(u, v))
 
-def monomial_div(v, u):
-    """v / u, assuming u | v."""
-    return tuple(b - a for a, b in zip(u, v))
-
 def monomial_lcm(u, v):
     return tuple(max(a, b) for a, b in zip(u, v))
 
@@ -38,20 +34,9 @@ def monomial_support(u):
     return tuple(i for i, e in enumerate(u) if e)
 
 
-def coefficient_matrix(polys, monos):
-    """The (len(polys), len(monos)) matrix of coefficient codes of the
-    polynomials over the monomials ``monos``, which include every term."""
-    index = {u: i for i, u in enumerate(monos)}
-    out = np.zeros((len(polys), len(monos)), dtype=np.int64)
-    for row, g in zip(out, polys):
-        for u, c in g.terms.items():
-            row[index[u]] = c
-    return out
-
-
 def monomials_of_degree(s, d):
-    """All exponent tuples of length s and total degree d (generation order
-    is not meaningful; sort with a TermOrder key)."""
+    """All exponent tuples of length s and total degree d, lexicographically
+    descending."""
     if s == 1:
         yield (d,)
         return
@@ -86,14 +71,15 @@ class TermOrder:
             )
         return self.perm
 
+    def _coords(self, s):
+        if s not in self._compared:
+            perm = self.resolved_perm(s)[:: -1 if self.kind == "grevlex" else 1]
+            self._compared[s] = tuple(i - 1 for i in perm)
+        return self._compared[s]
+
     def key(self, u):
         """Sort key: ascending key order is ascending in the monomial order."""
-        idx = self._compared.get(len(u))
-        if idx is None:
-            perm = self.resolved_perm(len(u))
-            if self.kind == "grevlex":
-                perm = perm[::-1]
-            idx = self._compared[len(u)] = tuple(i - 1 for i in perm)
+        idx = self._compared.get(len(u)) or self._coords(len(u))
         if self.kind == "glex":
             return (sum(u), tuple([u[i] for i in idx]))
         # grevlex: compare reversed permuted coordinates, negated
@@ -107,6 +93,18 @@ class TermOrder:
 
     def sorted_desc(self, monomials):
         return sorted(monomials, key=self.key, reverse=True)
+
+    @lru_cache(maxsize=64)
+    def monomials_desc(self, s, d):
+        """The monomials of degree d, descending, as a read-only (n, s)
+        array: ``key`` compares the coordinates ``_coords(s)``
+        lexicographically, glex descending and grevlex ascending, and
+        ``monomials_of_degree`` lists them lexicographically descending."""
+        lex = np.array(list(monomials_of_degree(s, d)), dtype=int).reshape(-1, s)
+        U = np.empty_like(lex)
+        U[:, self._coords(s)] = lex if self.kind == "glex" else lex[::-1]
+        U.flags.writeable = False
+        return U
 
     def descriptor(self, s):
         perm = self.resolved_perm(s)
@@ -136,59 +134,8 @@ class Poly:
                 if c:
                     self.terms[tuple(u)] = c
 
-    # construction helpers
-
-    @classmethod
-    def zero(cls, field, nvars):
-        return cls(field, nvars)
-
-    @classmethod
-    def monomial(cls, field, nvars, u, code=1):
-        return cls(field, nvars, {tuple(u): code})
-
-    def _check_ring(self, other):
-        if self.field != other.field or self.nvars != other.nvars:
-            raise RingMismatch("polynomials live in different rings")
-
     def is_zero(self):
         return not self.terms
-
-    # arithmetic
-
-    def __add__(self, other):
-        self._check_ring(other)
-        f = self.field
-        out = dict(self.terms)
-        for u, c in other.terms.items():
-            nc = f.add(out.get(u, 0), c)
-            if nc:
-                out[u] = nc
-            else:
-                out.pop(u, None)
-        return Poly(f, self.nvars, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        f = self.field
-        return Poly(f, self.nvars, {u: f.neg(c) for u, c in self.terms.items()})
-
-    def scale(self, code):
-        f = self.field
-        if code == 0:
-            return Poly.zero(f, self.nvars)
-        return Poly(f, self.nvars, {u: f.mul(c, code) for u, c in self.terms.items()})
-
-    def mul_term(self, u, code=1):
-        f = self.field
-        if code == 0:
-            return Poly.zero(f, self.nvars)
-        return Poly(
-            f,
-            self.nvars,
-            {monomial_mul(v, u): f.mul(c, code) for v, c in self.terms.items()},
-        )
 
     def __eq__(self, other):
         return (
@@ -197,11 +144,6 @@ class Poly:
             and self.nvars == other.nvars
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.field, self.nvars, frozenset(self.terms.items())))
-
-    # structure
 
     def homogeneous_degree(self):
         """The common degree of all terms, or None if inhomogeneous/zero."""
@@ -213,26 +155,14 @@ class Poly:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=order.key)
 
-    def leading_coeff(self, order):
-        return self.terms[self.leading_monomial(order)]
-
     def monic(self, order):
-        lc = self.leading_coeff(order)
-        if lc == 1:
-            return self
-        return self.scale(self.field.inv(lc))
-
-    def coeff(self, u):
-        return self.terms.get(tuple(u), 0)
-
-    # text form
+        f = self.field
+        inv = f.inv(self.terms[self.leading_monomial(order)])
+        return Poly(f, self.nvars, {u: f.mul(c, inv) for u, c in self.terms.items()})
 
     def to_str(self, order=GREVLEX):
-        f = self.field
-        return join_terms(
-            (*coefficient_text(f, self.terms[u]), format_monomial(u) if sum(u) else "")
-            for u in order.sorted_desc(self.terms)
-        )
+        monos = order.sorted_desc(self.terms)
+        return row_text(self.field, term_texts(monos), [self.terms[u] for u in monos], {})
 
     def __repr__(self):
         return self.to_str()
@@ -277,7 +207,7 @@ def parse_poly(field, nvars, text):
     if not terms:
         raise ParseError(f"no terms in {text!r}")
 
-    out = Poly.zero(field, nvars)
+    out = {}
     for sign, term in terms:
         if term[-1] == "*" or "**" in term:
             raise ParseError(f"dangling '*' in term {term!r} of {text!r}")
@@ -309,8 +239,9 @@ def parse_poly(field, nvars, text):
             rest = rest[len(tok) :].lstrip("*")
         if sign < 0:
             coeff = field.neg(coeff)
-        out = out + Poly.monomial(field, nvars, tuple(expo), coeff)
-    return out
+        expo = tuple(expo)
+        out[expo] = field.add(out.get(expo, 0), coeff)
+    return Poly(field, nvars, out)
 
 
 def coefficient_text(field, code):
@@ -323,6 +254,24 @@ def coefficient_text(field, code):
     if "+" in cs or "-" in cs:
         cs = f"({cs})"
     return neg, cs
+
+
+def term_texts(monos):
+    """The text of each monomial as a term prints it, empty for 1."""
+    return [format_monomial(u) if sum(u) else "" for u in monos]
+
+
+def row_text(field, texts, row, cache):
+    """The text of the polynomial whose coefficient codes over monomials
+    with the term texts ``texts``, descending, are ``row``; ``cache`` keeps
+    the text of each coefficient code across calls."""
+    terms = []
+    for j in np.flatnonzero(row):
+        c = int(row[j])
+        if c not in cache:
+            cache[c] = coefficient_text(field, c)
+        terms.append((*cache[c], texts[j]))
+    return join_terms(terms)
 
 
 def join_terms(terms):

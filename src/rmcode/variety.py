@@ -30,14 +30,7 @@ from .groebner import (
     standard_monomials_upto,
 )
 from .linalg import rref, rref_transform
-from .polyring import (
-    GREVLEX,
-    Poly,
-    TermOrder,
-    coefficient_matrix,
-    monomial_coprime,
-    monomial_lcm,
-)
+from .polyring import GREVLEX, TermOrder, monomial_coprime, monomial_lcm
 
 
 class PointSet:
@@ -70,6 +63,8 @@ class PointSet:
         self.field = field
         self.coords = field.arr(rows)
         self.s = self.coords.shape[1]
+        # row e of _powers[j] holds the e-th powers of coordinate j
+        self._powers = [np.ones((1, self.m), dtype=np.int64) for _ in range(self.s)]
 
     @property
     def m(self):
@@ -84,24 +79,17 @@ class PointSet:
 
     def eval_monomials(self, monomials):
         """Evaluation matrix: one row per monomial, one column per point,
-        built by one gather of the powers of each coordinate."""
+        built by one gather per variable from the table of powers of its
+        coordinate, which grows to the largest exponent asked for."""
         f = self.field
         E = np.array(monomials, dtype=np.int64).reshape(len(monomials), self.s)
         rows = np.ones((len(monomials), self.m), dtype=np.int64)
         for j in range(self.s):
-            pows = [np.ones(self.m, dtype=np.int64)]
-            for _ in range(int(E[:, j].max(initial=0))):
-                pows.append(f.mul_arr(pows[-1], self.coords[:, j]))
-            rows = f.mul_arr(rows, np.array(pows)[E[:, j]])
+            pows = self._powers[j]
+            while len(pows) <= E[:, j].max(initial=0):
+                pows = self._powers[j] = np.vstack([pows, f.mul_arr(pows[-1], self.coords[:, j])])
+            rows = f.mul_arr(rows, pows[E[:, j]])
         return rows
-
-    def eval_polys(self, polys):
-        """The (len(polys), m) matrix of values f(P_j): one product of the
-        polynomials' coefficient matrix with the evaluations of the
-        monomials they use."""
-        monos = sorted({u for g in polys for u in g.terms})
-        coeffs = coefficient_matrix(polys, monos)
-        return self.field.matmul(coeffs, self.eval_monomials(monos))
 
     def __repr__(self):
         return f"PointSet(q={self.field.q}, s={self.s}, m={self.m})"
@@ -298,21 +286,13 @@ def interpolation_step(X, candidates, fixed=None):
 def basis_elements(field, candidates, std, nf, leads):
     """The new basis elements of one interpolation step: u minus its normal
     form for every candidate u that is not standard and that no monomial of
-    ``leads`` divides.  Their leading monomials are appended to ``leads``;
-    the candidates share one degree, so no other candidate is a multiple
-    of one of them."""
-    out = []
-    is_std = set(std)
-    for j, (u, divided) in enumerate(zip(candidates, _divided(candidates, leads))):
-        if j in is_std or divided:
-            continue
-        terms = {u: 1}
-        for r, c in zip(std, nf[:, j]):
-            if c:
-                terms[candidates[r]] = field.neg(int(c))
-        out.append(Poly(field, len(u), terms))
-        leads.append(u)
-    return out
+    ``leads`` divides, as the coefficient row of minus that normal form
+    over the standard candidates descending: column u of ``nf`` negated and
+    reversed.  Their leads are appended to ``leads``; the candidates share
+    one degree, so no other candidate is a multiple of one of them."""
+    new = set(np.flatnonzero(~_divided(candidates, leads)).tolist()) - set(std)
+    leads += [candidates[j] for j in sorted(new)]
+    return [field.neg_arr(nf[::-1, j]) for j in sorted(new)]
 
 
 def transform_step(X, candidates):
@@ -379,7 +359,7 @@ def vanishing_ideal(X, order=GREVLEX):
     s = X.s
     m = X.m
     order.resolved_perm(s)
-    gens = []
+    rows = []
     leads = []
     codes, separators = [], []
     separated = np.zeros(m, dtype=bool)
@@ -395,23 +375,19 @@ def vanishing_ideal(X, order=GREVLEX):
         old = len(leads)
         if r0 is None:
             candidates.sort(key=order.key, reverse=True)
-            basis, std, relations, points, rows = transform_step(X, candidates)
-            for row in relations[::-1]:
-                j = int(np.flatnonzero(row)[0])
-                terms = {candidates[j]: 1}
-                terms.update((candidates[c], row[c]) for c in reversed(std) if row[c])
-                gens.append(Poly(f, s, terms))
-                leads.append(candidates[j])
+            basis, std, relations, points, units = transform_step(X, candidates)
+            leads += [candidates[int(np.flatnonzero(row)[0])] for row in relations[::-1]]
+            rows += list(relations[::-1, std])
             new = [r for r, c in enumerate(points) if not separated[c]]
             fresh = [points[r] for r in new]
             separated[fresh] = True
             accepted = tuple(candidates[c] for c in std)
             codes.append(LinearCode(f, m, basis))
-            separators.append((accepted, fresh, rows[new][:, std]))
+            separators.append((accepted, fresh, units[new][:, std]))
         else:
             candidates.sort(key=order.key)
             std, nf = interpolation_step(X, candidates)
-            gens += basis_elements(f, candidates, std, nf, leads)
+            rows += basis_elements(f, candidates, std, nf, leads)
             accepted = [candidates[c] for c in std]  # standard monomials of degree d
         for i in range(old, len(leads)):
             for v in leads[:i]:
@@ -420,14 +396,17 @@ def vanishing_ideal(X, order=GREVLEX):
         if r0 is None and len(accepted) == m:
             r0 = d
 
-    gb = GroebnerBasis(order, gens)
+    gb = GroebnerBasis(order, f, s, leads, rows)
     if not gb_certify(gb):
         raise InternalInconsistency("the interpolated basis failed certification")
-    if np.any(X.eval_polys(gens)):
-        raise InternalInconsistency("basis element does not vanish on X")
-    return VanishingIdeal(
-        GroebnerBasis(order, gens, certified=True), tuple(codes), tuple(separators)
-    )
+    # every generator vanishes on X: ev(lead) + row * ev(std) = 0 per degree
+    layers = standard_monomials_upto(gb, s, max(map(sum, leads)))
+    for e in set(map(sum, leads)):
+        k = [i for i, u in enumerate(leads) if sum(u) == e]
+        rest = f.matmul(np.stack([rows[i] for i in k]), X.eval_monomials(layers[e]))
+        if np.any(f.add_arr(X.eval_monomials([leads[i] for i in k]), rest)):
+            raise InternalInconsistency("basis element does not vanish on X")
+    return VanishingIdeal(gb, tuple(codes), tuple(separators))
 
 
 # -- Hilbert data -----------------------------------------------------------------

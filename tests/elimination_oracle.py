@@ -10,6 +10,8 @@ from rmcode import linalg
 from rmcode.errors import InternalInconsistency
 from rmcode.groebner import _next_layer
 
+from groebner_oracle import eval_polys, linear_poly
+
 
 def solve(field, mat, rhs):
     """One solution of mat @ x = rhs, or None when inconsistent."""
@@ -70,12 +72,13 @@ def interpolation_step_fixed_rows(X, candidates, fixed):
 
 
 def artinian_steps_fixed_rows(X, order, h):
-    """The (candidates, std, nf, rows) of every degree of S/(I(X), h), each
+    """The (candidates, std, nf, rows) of every degree of S/(I(X), h), h
+    the coefficients of t1..ts over the field of X, each
     degree one step with h times the previous step's rows fixed first; the
     rows, those fixed rows followed by the evaluations of the standard
     monomials, are a basis of C_X(e)."""
     f, s = X.field, X.s
-    hvals = X.eval_polys([h])[0]
+    hvals = eval_polys(X, [linear_poly(f, h)])[0]
     steps = []
     candidates, hrows = [(0,) * s], np.zeros((0, X.m), dtype=np.int64)
     while True:

@@ -7,7 +7,9 @@ from dataclasses import dataclass, field as dc_field
 
 from rmcode.errors import Unsupported
 from rmcode.groebner import _next_layer, standard_monomials_upto
-from rmcode.polyring import monomial_div, monomial_divides, monomial_lcm
+from rmcode.polyring import monomial_divides, monomial_lcm
+
+from groebner_oracle import monomial_div
 
 
 def _minimalize(monos):

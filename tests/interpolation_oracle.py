@@ -14,13 +14,15 @@ from rmcode.groebner import GroebnerBasis, _next_layer, standard_monomials_upto
 from rmcode.polyring import Poly, monomial_coprime, monomial_lcm
 from rmcode.variety import basis_elements, interpolation_step
 
+from groebner_oracle import eval_polys
+
 
 def vanishing_ideal_by_steps(X, order):
     """The reduced basis of I(X), one ``interpolation_step`` per degree
     over the candidates ascending, run past r0 + 1 until every S-pair of
     the leading monomials is in range; not certified."""
     f, s, m = X.field, X.s, X.m
-    gens, leads = [], []
+    rows, leads = [], []
     r0, bound, d = None, 0, 0
     accepted = _next_layer(None, s, leads)
     while r0 is None or d < max(r0 + 1, bound):
@@ -28,7 +30,7 @@ def vanishing_ideal_by_steps(X, order):
         candidates = sorted(_next_layer(accepted, s, leads), key=order.key)
         std, nf = interpolation_step(X, candidates)
         old = len(leads)
-        gens += basis_elements(f, candidates, std, nf, leads)
+        rows += basis_elements(f, candidates, std, nf, leads)
         for i in range(old, len(leads)):
             for v in leads[:i]:
                 if not monomial_coprime(leads[i], v):
@@ -36,7 +38,7 @@ def vanishing_ideal_by_steps(X, order):
         accepted = [candidates[c] for c in std]
         if r0 is None and len(accepted) == m:
             r0 = d
-    return GroebnerBasis(order, gens)
+    return GroebnerBasis(order, f, s, leads, rows)
 
 
 def code_of_degree(X, gb, d):
@@ -86,6 +88,15 @@ def indicators_by_solving(X, gb, r0):
             fs[i] = Poly(f, X.s, {u: int(c) for u, c in zip(monos, x) if c})
             degrees[i] = d
     fs = [g.monic(gb.order) for g in fs]
-    values = np.diagonal(X.eval_polys(fs)).tolist()
+    values = np.diagonal(eval_polys(X, fs)).tolist()
     support = set.intersection(*(set(g.terms) for g in fs))
     return fs, values, degrees, gb.order.sorted_desc(support)
+
+
+def indicator_polys(isx):
+    """The indicators of the IndicatorSet ``isx`` as polynomials."""
+    fs = [None] * len(isx.degrees)
+    for _, std, points, rows in isx.blocks:
+        for i, row in zip(points, rows):
+            fs[i] = Poly(isx.field, len(std[0]), {std[j]: int(row[j]) for j in np.flatnonzero(row)})
+    return fs

@@ -23,7 +23,7 @@ from rmcode.errors import BudgetExceeded, InternalInconsistency
 from rmcode.gf import BUILTIN_MODULI, Field
 from rmcode.golden import PRIMARY_EXAMPLES, load_entry, run_corpus
 from rmcode.indicators import standard_indicators
-from rmcode.polyring import GREVLEX, TermOrder, parse_poly
+from rmcode.polyring import GREVLEX, TermOrder
 from rmcode.variety import PointSet, hilbert_data, points_parse, vanishing_ideal
 
 from gf_oracle import pow_arr
@@ -69,7 +69,7 @@ def test_criterion_2_weight_matrices():
         for d in range(1, hd.r0 + 1):
             k = hd.H[d]
             for r in range(1, X.m + 1):
-                cell = wm.cell(d, r)
+                cell = wm.cells[d - 1][r - 1]
                 w = want[d - 1][r - 1]
                 if w == "inf":
                     ok = ok and cell.kind == "infinity"
@@ -77,7 +77,7 @@ def test_criterion_2_weight_matrices():
                 ok = ok and cell.kind == "exact" and cell.value == w
                 if gaussian_binomial(k, r, X.field.q) <= budget:
                     ok = ok and cell.method == "brute"
-        ok = ok and wm.all_exact()
+        ok = ok and all(c.kind != "interval" for row in wm.cells for c in row)
         if expected.get("footprint_equals_weights"):
             for d in range(1, hd.r0 + 1):
                 for r in range(1, hd.H[d] + 1):
@@ -144,13 +144,13 @@ def test_criterion_5_gorenstein_pipeline():
 
     A, _ = _pipeline("gorenstein_not_ci")
     X, gb, hd = A.X, A.gb, A.hd
-    cls = classify(A, h=parse_poly(X.field, X.s, "t1+t4"))
+    cls = classify(A, h=(1, 0, 0, 1))
     from rmcode.groebner import minimal_generator_count
     from rmcode.polyring import parse_monomial
 
     good = cls.gorenstein and minimal_generator_count(gb, hd.r0) != X.s - 1
     good = good and cls.socle_monomial == parse_monomial(4, "t3*t4")
-    good = good and [g.to_str() for _, g in cls.socle] == ["t3*t4"]
+    good = good and [e["polynomial"] for e in cls.as_dict(GREVLEX)["socle"]] == ["t3*t4"]
     rep = verify_socle_identities(A, cls)
     good = good and all(lam != 0 for lam in rep["lambdas"])
     ok = ok and good
@@ -282,7 +282,7 @@ def test_criterion_6_property_suites():
         lam = [rng.randrange(1, q) for _ in range(m)]
         Y = rescaled(X, lam)
         gb2 = vanishing_ideal(Y).gb
-        assert gb2.gens == gb.gens
+        assert gb2.to_strings() == gb.to_strings()
         assert hilbert_data(gb2, m, nvars=s) == hd
         # Macaulay identity via the full evaluation-matrix kernel
         for d in range(1, hd.r0 + 2):

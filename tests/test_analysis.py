@@ -10,6 +10,8 @@ import pytest
 
 from rmcode import codes, duality, groebner, linalg
 from rmcode.analysis import Analysis, AnalysisRequest, analyze_text
+from rmcode.codes import LinearCode
+from rmcode.errors import InternalInconsistency
 from rmcode.gf import Field
 from rmcode.golden import CORPUS, load_entry
 from rmcode.groebner import GroebnerBasis, standard_monomials_upto
@@ -106,35 +108,24 @@ order glex perm=1,2,3
 
 @pytest.mark.parametrize("name", [*CORPUS, "late_generators"])
 def test_analyze_runs_no_buchberger(name, monkeypatch):
-    """Every ideal of the pipeline comes from the per-degree interpolation:
-    the library has no Buchberger algorithm, and term-by-term division runs
-    only inside gb_certify."""
-    assert not hasattr(groebner, "buchberger")
+    """Every ideal of the pipeline comes from the per-degree interpolation
+    and is certified by ``gb_certify``: the library has no Buchberger
+    algorithm and no term-by-term division."""
+    assert not hasattr(groebner, "buchberger") and not hasattr(groebner, "normal_form")
     text = LATE_GENERATORS if name == "late_generators" else load_entry(name)[0]
     if name == "late_generators":
         A = Analysis(*points_parse(text))
-        assert max(g.homogeneous_degree() for g in A.gb.gens) > A.hd.r0 + 1
+        assert max(map(sum, A.gb.leads)) > A.hd.r0 + 1
     calls = collections.Counter()
-    certifying = []
-    real_certify, real_normal_form = groebner.gb_certify, groebner.normal_form
+    real_certify = groebner.gb_certify
 
     def gb_certify(*args):
         calls["gb_certify"] += 1
-        certifying.append(True)
-        try:
-            return real_certify(*args)
-        finally:
-            certifying.pop()
-
-    def normal_form(*args):
-        calls["normal_form", bool(certifying)] += 1
-        return real_normal_form(*args)
+        return real_certify(*args)
 
     _rebind(monkeypatch, real_certify, gb_certify)
-    _rebind(monkeypatch, real_normal_form, normal_form)
     report, _ = analyze_text(text, EVERY_FLAG)
     assert "artinian" in report
-    assert calls["normal_form", False] == 0
     assert calls["gb_certify"] >= 2  # I(X) and (I(X), h)
 
 
@@ -199,7 +190,7 @@ def test_certificates_compute_only_what_their_answer_needs(monkeypatch):
     no staircase layer above r0 + 1 inside the self-dual report."""
     X = points_torus(3, Field(5))
     text = format_points(X.field, X.s, X.coords.tolist())
-    assert {g.homogeneous_degree() for g in Analysis(X).gb.gens} == {4}
+    assert set(map(sum, Analysis(X).gb.leads)) == {4}
     where = _track(monkeypatch, duality.global_duality, duality.self_dual_report)
     ranks = _count_calls(monkeypatch, groebner._products_rank, where)
     duals = _count_calls(monkeypatch, codes.dual_code, where)
@@ -230,18 +221,33 @@ def test_cached_codes_are_shared_and_read_only(F3):
     assert "_codes" not in repr(A)
 
 
+def test_code_dimension_trap(F3):
+    """A code of the interpolation one dimension short of H(d) trips the
+    check that the standard monomials evaluate independently."""
+    A = Analysis(PointSet(F3, [[1, 0, 1], [0, 1, 1], [1, 1, 1], [2, 1, 1], [0, 0, 1]]))
+    codes = list(A.ideal.codes)
+    C = codes[1]
+    codes[1] = LinearCode(C.field, C.length, C.basis[:-1])
+    A.__dict__["ideal"] = dataclasses.replace(A.ideal, codes=tuple(codes))
+    assert A.hd.r0 > 1
+    with pytest.raises(InternalInconsistency, match="dim C_X"):
+        A.code(1)
+
+
 def test_groebner_basis_cannot_change_under_its_staircase(F3):
     X = PointSet(F3, [[1, 0, 1], [0, 1, 1], [1, 1, 1], [2, 1, 1]])
     gb = vanishing_ideal(X).gb
     layers = standard_monomials_upto(gb, 3, 4)
-    assert isinstance(gb.gens, tuple)
+    assert isinstance(gb.leads, tuple) and isinstance(gb.rows, tuple)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        gb.gens = gb.gens + gb.gens
+        gb.leads = gb.leads + gb.leads
+    with pytest.raises(ValueError):
+        gb.rows[0][0] = 1
     assert standard_monomials_upto(gb, 3, 2) == layers[:3]
     assert standard_monomials_upto(gb, 3, 4)[4] is layers[4]
-    # the staircase is a cache: equality and repr ignore it
-    fresh = GroebnerBasis(gb.order, gb.gens, certified=True)
-    assert fresh == gb and repr(fresh) == repr(gb)
+    # the staircase is a cache: repr ignores it
+    fresh = GroebnerBasis(gb.order, gb.field, gb.nvars, gb.leads, gb.rows)
+    assert repr(fresh) == repr(gb)
     assert "_staircase" not in repr(gb)
 
 
@@ -282,8 +288,8 @@ def test_hilbert_value_everywhere(F3):
     )
 
 
-def test_zero_ideal_staircase():
-    empty = GroebnerBasis(GREVLEX, ())
+def test_zero_ideal_staircase(F3):
+    empty = GroebnerBasis(GREVLEX, F3, 3)
     assert [len(layer) for layer in standard_monomials_upto(empty, 3, 3)] == [1, 3, 6, 10]
 
 

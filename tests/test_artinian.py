@@ -7,7 +7,15 @@ import pytest
 
 from elimination_oracle import artinian_steps_fixed_rows, solve
 from gf_oracle import table_matmul
-from groebner_oracle import buchberger
+from groebner_oracle import (
+    buchberger,
+    certify_by_division,
+    eval_polys,
+    linear_poly,
+    normal_form,
+    polys_of,
+)
+from interpolation_oracle import indicator_polys
 from rmcode import artinian, linalg, variety
 from rmcode.analysis import Analysis, AnalysisRequest, analyze_text
 from rmcode.artinian import (
@@ -15,7 +23,6 @@ from rmcode.artinian import (
     _extension_field,
     _first_regular_form,
     _least_extension_degree,
-    _linear_form,
     artinian_reduce,
     classify,
     find_regular_linear_form,
@@ -33,7 +40,7 @@ from rmcode.errors import (
 )
 from rmcode.gf import Field
 from rmcode.golden import CORPUS, load_entry
-from rmcode.groebner import normal_form, standard_monomials_upto
+from rmcode.groebner import gb_certify, standard_monomials_upto
 from rmcode.polyring import GREVLEX, Poly, TermOrder, parse_monomial, parse_poly
 from rmcode.variety import (
     PointSet,
@@ -160,14 +167,14 @@ def test_regular_form_over_a_large_prime_field():
 def test_find_regular_form_prefers_last_variable(nine_points, F3):
     X = nine_points.X
     h, e, workX = find_regular_linear_form(X)
-    assert e == 1 and h == parse_poly(F3, 3, "t3")
+    assert e == 1 and h == (0, 0, 1)
 
 
 def test_both_printed_forms_are_regular(five_points_socle, F3):
     X = five_points_socle.X
     for text in ("t1+t4", "t4"):
         h = parse_poly(F3, 4, text)
-        assert np.all(X.eval_polys([h]))
+        assert np.all(eval_polys(X, [h]))
 
 
 def test_projective_line_f3_needs_extension(F3):
@@ -181,7 +188,7 @@ def test_projective_line_f3_needs_extension(F3):
             assert 0 in vals
     h, e, bigX = find_regular_linear_form(X)
     assert e == 2 and bigX.field.q == 9
-    assert np.all(bigX.eval_polys([h]))
+    assert np.all(eval_polys(bigX, [linear_poly(bigX.field, h)]))
 
 
 def _search_every_degree(X):
@@ -191,7 +198,7 @@ def _search_every_degree(X):
     while True:
         coeffs = _first_regular_form(workX)
         if coeffs is not None:
-            return e, _linear_form(workX.field, X.s, coeffs)
+            return e, coeffs
         e += 1
         workX = X.lift(_extension_field(X.field, e))
 
@@ -221,7 +228,7 @@ def test_counted_degree_finds_the_form_of_the_search_from_degree_one():
     for X in sets:
         h, e, workX = find_regular_linear_form(X)
         assert (e, h) == _search_every_degree(X)
-        assert workX.field == h.field and np.all(workX.eval_polys([h]))
+        assert np.all(eval_polys(workX, [linear_poly(workX.field, h)]))
         assert _least_extension_degree(X) <= e
         degrees.append(e)
     # a full space needs e = s, a full space less one point e = s - 1
@@ -279,16 +286,17 @@ def test_report_is_the_same_with_table_products(make, s, p, k, monkeypatch):
 
 def test_artinian_reduce_by_last_variable(five_points_frame, F3):
     gb, hd = five_points_frame.gb, five_points_frame.hd
-    red = artinian_reduce(five_points_frame, parse_poly(F3, 4, "t4"))
-    assert red.basis.certified
-    assert red.basis.gens == buchberger(gb.gens + (parse_poly(F3, 4, "t4"),), gb.order).gens
+    red = artinian_reduce(five_points_frame, (0, 0, 0, 1))
+    assert gb_certify(red.basis)
+    want = buchberger(polys_of(gb) + [parse_poly(F3, 4, "t4")], gb.order)
+    assert red.basis.to_strings() == want.to_strings()
     assert tuple(len(red.layer(e)) for e in range(hd.r0 + 1)) == hd.h_vector
     assert red.layer(hd.r0 + 1) == []
 
 
 def test_artinian_reduce_general_form(five_points_socle, F3):
     hd = five_points_socle.hd
-    red = artinian_reduce(five_points_socle, parse_poly(F3, 4, "t1+t4"))
+    red = artinian_reduce(five_points_socle, (1, 0, 0, 1))
     per = standard_monomials_upto(red.basis, 4, hd.r0 + 1)
     assert tuple(len(p) for p in per[: hd.r0 + 1]) == (1, 3, 1)
     assert per[hd.r0] == (parse_monomial(4, "t3*t4"),)
@@ -297,21 +305,21 @@ def test_artinian_reduce_general_form(five_points_socle, F3):
 
 def test_artinian_reduce_two_points(F3):
     X = PointSet(F3, [[1, 1], [0, 1]])
-    red = artinian_reduce(Analysis(X), parse_poly(F3, 2, "t2"))
+    red = artinian_reduce(Analysis(X), (0, 1))
     per = standard_monomials_upto(red.basis, 2, 2)
     assert per[0] == ((0, 0),) and per[1] == ((1, 0),) and per[2] == ()
 
 
 def test_artinian_reduce_rejects_zero_divisor(nine_points, F3):
     with pytest.raises(NotRegular):
-        artinian_reduce(nine_points, parse_poly(F3, 3, "t1"))
+        artinian_reduce(nine_points, (1, 0, 0))
 
 
 def test_socle_five_points(five_points_socle, F3):
-    cls = classify(five_points_socle, h=parse_poly(F3, 4, "t1+t4"))
+    cls = classify(five_points_socle, h=(1, 0, 0, 1))
     assert cls.gorenstein and cls.type_ == 1 and cls.level
     assert cls.socle_monomial == parse_monomial(4, "t3*t4")
-    assert [g.to_str() for _, g in cls.socle] == ["t3*t4"]
+    assert [e["polynomial"] for e in cls.as_dict(GREVLEX)["socle"]] == ["t3*t4"]
     rep = verify_socle_identities(five_points_socle, cls)
     # remainders are nonzero multiples of the socle monomial
     assert all(lam != 0 for lam in rep["lambdas"])
@@ -328,7 +336,7 @@ def test_socle_four_points_essential_contains_top_monomial(four_points):
 
 def test_socle_five_points_auto_h(five_points_socle, F3):
     cls = classify(five_points_socle)
-    assert cls.h == parse_poly(F3, 4, "t4")
+    assert cls.h == (0, 0, 0, 1)
     assert cls.gorenstein and cls.type_ == 1 and cls.s_number == five_points_socle.hd.r0
     rep = verify_socle_identities(five_points_socle, cls)
     assert rep["special_form"]  # exercises the t_s-form identities
@@ -380,12 +388,8 @@ def test_extension_invariance(five_points_frame, F3):
     base = classify(five_points_frame)
     big = Field(3, 2)
     bigX = X.lift(big)
-    hpoly = next(
-        _linear_form(big, X.s, c)
-        for c in _candidate_forms(big, X.s)
-        if _avoids_all(bigX, c)
-    )
-    red = artinian_reduce(five_points_frame, hpoly)
+    h = next(c for c in _candidate_forms(big, X.s) if _avoids_all(bigX, c))
+    red = artinian_reduce(five_points_frame, h, big)
     soc, top, type_, level, gorenstein, s_number = socle(red)
     assert (type_, level, gorenstein, s_number) == (
         base.type_,
@@ -422,9 +426,10 @@ class NotArtinian(RMCodeError):
 def _reduction_by_buchberger(A, cls):
     """Oracle: the reduced basis of (I(X), h) by Buchberger on the basis of
     I(X), mapped coefficientwise into the field of h, plus h."""
-    gb, big = A.gb, cls.h.field
+    gb, big = A.gb, cls.J_basis.field
     table = A.X.field.embedding_into(big)
-    return buchberger([_map_field(g, big, table) for g in gb.gens] + [cls.h], gb.order)
+    gens = [_map_field(g, big, table) for g in polys_of(gb)]
+    return buchberger(gens + [linear_poly(big, cls.h)], gb.order)
 
 
 def _map_field(g, big, table):
@@ -460,7 +465,7 @@ def _socle_by_division(J, nvars):
             shift = tuple(int(i == var) for i in range(nvars))
             M = np.zeros((len(basis_e1), len(basis_e)), dtype=np.int64)
             for col, u in enumerate(basis_e):
-                prod = Poly.monomial(f, nvars, tuple(a + b for a, b in zip(u, shift)))
+                prod = Poly(f, nvars, {tuple(a + b for a, b in zip(u, shift)): 1})
                 rem = normal_form(prod, J)
                 for w, c in rem.terms.items():
                     M[index_e1[w], col] = c
@@ -502,17 +507,22 @@ def _assert_reduction_matches_oracles(A):
     cls = classify(A)
     J = _reduction_by_buchberger(A, cls)
     s = A.X.s
-    assert cls.J_basis.certified and cls.J_basis.gens == J.gens
+    assert gb_certify(cls.J_basis) and certify_by_division(cls.J_basis)
+    assert cls.J_basis.to_strings() == J.to_strings()
     top = A.hd.r0
     oracle_layers = standard_monomials_upto(J, s, top + 1)
     assert [tuple(cls.reduction.layer(e)) for e in range(top + 2)] == list(oracle_layers)
     assert len(cls.reduction.steps) == top + 2
     soc, oracle_top = _socle_by_division(J, s)
-    assert oracle_top == top and cls.socle == soc
+    socle = [
+        (e, Poly(J.field, s, {u: int(c) for u, c in zip(cls.reduction.layer(e), row) if c}))
+        for e, row in cls.socle
+    ]
+    assert oracle_top == top and socle == soc
     if cls.gorenstein:
         lambdas = verify_socle_identities(A, cls)["lambdas"]
         table = A.X.field.embedding_into(J.field)
-        rems = [normal_form(_map_field(fi, J.field, table), J) for fi in A.isx.fs]
+        rems = [normal_form(_map_field(fi, J.field, table), J) for fi in indicator_polys(A.isx)]
         assert all(set(r.terms) == {cls.socle_monomial} for r in rems)
         assert lambdas == [r.terms[cls.socle_monomial] for r in rems]
     return cls
@@ -540,11 +550,11 @@ def test_reduction_matches_oracles_on_random_sets():
 # -- the fixed-rows oracle ------------------------------------------------------
 
 
-def _assert_steps_match_the_fixed_rows_oracle(X, order, h):
-    """Every step of ``artinian_reduce`` equals the step that eliminates
-    the rows of h*C_X(e-1) again from scratch."""
-    workX = X if h.field == X.field else X.lift(h.field)
-    steps = artinian_reduce(Analysis(X, order), h).steps
+def _assert_steps_match_the_fixed_rows_oracle(X, order, F, h):
+    """Every step of ``artinian_reduce`` by the form h over F equals the
+    step that eliminates the rows of h*C_X(e-1) again from scratch."""
+    workX = X if F == X.field else X.lift(F)
+    steps = artinian_reduce(Analysis(X, order), h, F).steps
     want = artinian_steps_fixed_rows(workX, order, h)
     assert len(steps) == len(want)
     for (cands, std, nf), (cands0, std0, nf0, _) in zip(steps, want):
@@ -555,9 +565,9 @@ def _assert_steps_match_the_fixed_rows_oracle(X, order, h):
 @pytest.mark.parametrize("name", CORPUS)
 def test_reduction_steps_match_the_fixed_rows_oracle_on_corpus(name):
     X, _ = points_parse(load_entry(name)[0])
-    h, _, _ = find_regular_linear_form(X)
+    h, _, workX = find_regular_linear_form(X)
     for order in (GREVLEX, TermOrder("glex")):
-        _assert_steps_match_the_fixed_rows_oracle(X, order, h)
+        _assert_steps_match_the_fixed_rows_oracle(X, order, workX.field, h)
 
 
 def test_reduction_steps_match_the_fixed_rows_oracle_on_random_sets():
@@ -573,10 +583,10 @@ def test_reduction_steps_match_the_fixed_rows_oracle_on_random_sets():
         forms = [h]
         coeffs = [rng.randrange(workX.field.q) for _ in range(X.s)]
         if _avoids_all(workX, coeffs):
-            forms.append(_linear_form(workX.field, X.s, coeffs))
+            forms.append(tuple(coeffs))
         for order in (GREVLEX, TermOrder("glex")):
             for form in forms:
-                _assert_steps_match_the_fixed_rows_oracle(X, order, form)
+                _assert_steps_match_the_fixed_rows_oracle(X, order, workX.field, form)
     assert lifted >= 10
 
 
@@ -597,12 +607,12 @@ def test_artinian_reduce_eliminates_at_most_m_pivots(monkeypatch):
         X, order = points_parse(load_entry(name)[0])
         A = Analysis(X, order or GREVLEX)
         A.isx
-        h, _, _ = find_regular_linear_form(X)
+        h, _, workX = find_regular_linear_form(X)
         counted.clear()
         with monkeypatch.context() as patch:
             patch.setattr(linalg, "rref", counting)
             patch.setattr(variety, "rref", counting)
-            artinian_reduce(A, h)
+            artinian_reduce(A, h, workX.field)
         assert sum(counted) == X.m
 
 
@@ -610,7 +620,7 @@ def _lambdas_by_solve(A, cls):
     """Oracle: the lambdas of the socle identities by one m x m solve
     against the degree-r0 rows of the fixed-rows reduction, h*C_X(r0-1)
     followed by ev(t^a), for the last unit vector."""
-    X, F = A.X, cls.h.field
+    X, F = A.X, cls.J_basis.field
     workX = X if F == X.field else X.lift(F)
     rows = artinian_steps_fixed_rows(workX, A.order, cls.h)[A.hd.r0][3]
     w = solve(F, rows, np.eye(X.m, dtype=np.int64)[-1])

@@ -5,7 +5,9 @@ import time
 import pytest
 
 from rmcode import golden
+from rmcode.analysis import AnalysisRequest, analyze_text
 from rmcode.cli import main
+from rmcode.errors import InvalidParams
 from rmcode.golden import load_entry
 
 
@@ -324,6 +326,19 @@ def test_analyze_rejects_a_pinned_form_with_a_dangling_operator(tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and form in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_analyze_rejects_a_pinned_form_without_gorenstein(tmp_path, capsys):
+    """--artinian-h pins the form of the Artinian reduction, which only
+    --gorenstein runs: alone it is an input error, from the library too."""
+    path = tmp_path / "plane.points"
+    path.write_text(load_entry("projective_plane_f3")[0])
+    assert main(["analyze", str(path), "--artinian-h", "t1+"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "--gorenstein" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    with pytest.raises(InvalidParams):
+        analyze_text(path.read_text(), AnalysisRequest(artinian_h="t1+t3"))
 
 
 @pytest.mark.parametrize("form", ["t1^2+t2^2", "2", "0"])

@@ -226,7 +226,7 @@ def test_footprint_examples(ten_points):
 def test_weight_matrix_rows_at_r0(seven_points):
     X, hd = seven_points.X, seven_points.hd
     wm = weight_matrix(seven_points)
-    last_row = [wm.cell(hd.r0, r) for r in range(1, X.m + 1)]
+    last_row = [wm.cells[hd.r0 - 1][r - 1] for r in range(1, X.m + 1)]
     assert [c.value for c in last_row] == list(range(1, X.m + 1))
 
 
@@ -238,8 +238,8 @@ def test_weight_matrix_honest_intervals_under_tiny_budget(seven_points):
     starved = weight_matrix(seven_points, budget=1)
     for d in range(1, hd.r0 + 1):
         for r in range(1, X.m + 1):
-            truth = full.cell(d, r)
-            cell = starved.cell(d, r)
+            truth = full.cells[d - 1][r - 1]
+            cell = starved.cells[d - 1][r - 1]
             if truth.kind == "infinity":
                 assert cell.kind == "infinity"
                 continue
@@ -278,7 +278,7 @@ def test_weight_matrix_column_rule_tightens_an_interval(F4):
     """On P^2(F_4) the column rule delta(2, 1) <= delta(1, 1) - 1 is what
     caps cell (2, 1): without it the interval would be [11, 16]."""
     A = Analysis(points_full_projective(3, F4), GREVLEX)
-    cell = weight_matrix(A, budget=100).cell(2, 1)
+    cell = weight_matrix(A, budget=100).cells[1][0]
     assert (cell.kind, cell.lo, cell.hi) == ("interval", 11, 15)
     assert min_distance(A.code(2)) == 12  # Sorensen's value for P^2(F_4), d = 2
 
@@ -288,7 +288,7 @@ def test_weight_matrix_infinity_convention(seven_points):
     wm = weight_matrix(seven_points)
     for d in range(1, hd.r0 + 1):
         for r in range(1, X.m + 1):
-            assert (wm.cell(d, r).kind == "infinity") == (r > hd.H[d])
+            assert (wm.cells[d - 1][r - 1].kind == "infinity") == (r > hd.H[d])
 
 
 def test_representative_independence_of_weights(F3, F5):

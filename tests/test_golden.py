@@ -22,7 +22,7 @@ from rmcode.polyring import GREVLEX, Poly, TermOrder, monomials_of_degree, parse
 from rmcode.variety import points_parse
 
 from duality_oracle import monomially_equivalent
-from groebner_oracle import buchberger
+from groebner_oracle import add, buchberger, eval_polys, mul_term, polys_of
 
 ENTRIES = {name: load_entry(name) for name in CORPUS}
 
@@ -56,7 +56,7 @@ def check_other_regular_forms(A, entry):
     """Each form vanishes at no point, so it is regular on S/I(X)."""
     f, s = A.X.field, A.X.s
     return all(
-        np.all(A.X.eval_polys([parse_poly(f, s, t)])) for t in entry["other_regular_forms"]
+        np.all(eval_polys(A.X, [parse_poly(f, s, t)])) for t in entry["other_regular_forms"]
     )
 
 
@@ -266,25 +266,26 @@ def test_stored_basis_passes_in_any_order(name):
 def _random_member(rng, gb, d):
     """A random F_q-combination of the degree-d products g*w of the basis."""
     f, nv = gb.field, gb.nvars
-    out = Poly.zero(f, nv)
-    for g in gb.gens:
+    out = Poly(f, nv)
+    for g in polys_of(gb):
         dw = d - g.homogeneous_degree()
         if dw >= 0:
             for w in monomials_of_degree(nv, dw):
-                out = out + g.mul_term(w, rng.randrange(f.q))
+                out = add(out, mul_term(g, w, rng.randrange(f.q)))
     return out
 
 
 @pytest.mark.parametrize("order", [GREVLEX, TermOrder("glex")], ids=["grevlex", "glex"])
 def test_generates_agrees_with_buchberger(order):
     """On random lists of ideal members, some generating I(X) and some a
-    proper subideal, the linear-algebra verdict is Buchberger's."""
+    proper subideal, the linear-algebra verdict is Buchberger's; a list
+    with a standard monomial added, which is no member, never generates."""
     rng = random.Random(1101)
     verdicts = []
     for name in CORPUS:
         X, _ = points_parse(ENTRIES[name][0])
         gb = Analysis(X, order).gb
-        degrees = [g.homogeneous_degree() for g in gb.gens]
+        degrees = [sum(u) for u in gb.leads]
         for _ in range(3):
             polys = [
                 _random_member(rng, gb, d)
@@ -292,6 +293,9 @@ def test_generates_agrees_with_buchberger(order):
                 for _ in range(rng.randint(0, degrees.count(d) + 1))
             ]
             got = generates(polys, gb)
-            assert got == (buchberger(polys, order).gens == gb.gens)
+            assert got == (bool(polys) and buchberger(polys, order).to_strings() == gb.to_strings())
             verdicts.append(got)
+            d = rng.choice(degrees)
+            std = rng.choice(standard_monomials_upto(gb, X.s, d)[d])
+            assert not generates([*polys, Poly(gb.field, X.s, {std: 1})], gb)
     assert True in verdicts and False in verdicts

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from elimination_oracle import solve
+from groebner_oracle import add, eval_polys, mul_term
+from interpolation_oracle import indicator_polys
 from rmcode import indicators, linalg, variety
 from rmcode.analysis import Analysis
 from rmcode.errors import InternalInconsistency
@@ -20,12 +22,12 @@ def test_nine_point_indicators(nine_points, F3):
     assert isx.degrees == [4] * 9
     assert isx.values == [1] * 9
     assert isx.essential == [parse_monomial(3, "t1^2*t2^2")]
-    assert isx.fs[0] == parse_poly(F3, 3, "t1^2*t2^2-t1^2*t3^2-t2^2*t3^2+t3^4")
+    assert indicator_polys(isx)[0] == parse_poly(F3, 3, "t1^2*t2^2-t1^2*t3^2-t2^2*t3^2+t3^4")
 
 
 def test_frame_indicator_f5(five_points_frame, F3):
     isx = five_points_frame.isx
-    assert isx.fs[4] == parse_poly(F3, 4, "t3^2-t3*t4")
+    assert indicator_polys(isx)[4] == parse_poly(F3, 4, "t3^2-t3*t4")
     assert isx.degrees[4] == 2
 
 
@@ -53,14 +55,15 @@ def test_v_equals_r0_when_all_agree(nine_points):
     assert nine_points.isx.v_number == nine_points.hd.r0
 
 
-def _colon_witness(A, i):
-    """f_i of the ``Analysis`` A, re-verified: correct vanishing pattern,
-    and no standard polynomial of smaller degree separates P_i (the system
-    at degree v_i - 1 is infeasible)."""
+def _colon_witness(A, i, fi=None):
+    """f_i of the ``Analysis`` A, or the polynomial ``fi`` in its place,
+    re-verified: correct vanishing pattern, and no standard polynomial of
+    smaller degree separates P_i (the system at degree v_i - 1 is
+    infeasible)."""
     X, isx = A.X, A.isx
-    fi = isx.fs[i]
+    fi = indicator_polys(isx)[i] if fi is None else fi
     vi = isx.degrees[i]
-    vec = X.eval_polys([fi])[0]
+    vec = eval_polys(X, [fi])[0]
     if vec[i] == 0 or any(vec[j] != 0 for j in range(X.m) if j != i):
         raise InternalInconsistency(f"f_{i + 1} does not vanish exactly off P_{i + 1}")
     if vi > 0:
@@ -76,7 +79,7 @@ def _colon_witness(A, i):
 def test_colon_witness_nine_points(nine_points, F3):
     isx = nine_points.isx
     w = _colon_witness(nine_points, 0)
-    assert w == isx.fs[0]
+    assert w == indicator_polys(isx)[0]
     # infeasible at 3, feasible at 4: encoded in the degree
     assert isx.degrees[0] == 4
 
@@ -103,13 +106,13 @@ def test_padded_indicator_vectors_span(ten_points):
     X, hd, isx = ten_points.X, ten_points.hd, ten_points.isx
     f = X.field
     rows = []
-    for i, (fi, vi) in enumerate(zip(isx.fs, isx.degrees)):
+    for i, (fi, vi) in enumerate(zip(indicator_polys(isx), isx.degrees)):
         j = max(k for k in range(X.s) if X.coords[i][k] != 0)
         shift = tuple(
             (hd.r0 - vi) if t == j else 0 for t in range(X.s)
         )
-        rows.append(fi.mul_term(shift))
-    assert linalg.rank(f, X.eval_polys(rows)) == X.m
+        rows.append(mul_term(fi, shift))
+    assert linalg.rank(f, eval_polys(X, rows)) == X.m
 
 
 def test_uniqueness_under_reversed_pivoting(nine_points, F3):
@@ -128,7 +131,7 @@ def test_uniqueness_under_reversed_pivoting(nine_points, F3):
         from rmcode.polyring import Poly
 
         g = Poly(f, X.s, {u: int(c) for u, c in zip(monos, x) if c}).monic(gb.order)
-        assert g == isx.fs[i]
+        assert g == indicator_polys(isx)[i]
 
 
 def _oracle_indicators(X, gb, r0):
@@ -157,7 +160,7 @@ def _oracle_indicators(X, gb, r0):
                 fs[i] = Poly(f, X.s, {u: int(c) for u, c in zip(monos, x) if c})
                 degrees[i] = d
     fs = [fi.monic(gb.order) for fi in fs]
-    values = np.diagonal(X.eval_polys(fs)).tolist()
+    values = np.diagonal(eval_polys(X, fs)).tolist()
     support = set.intersection(*(set(fi.terms) for fi in fs))
     return fs, values, degrees, gb.order.sorted_desc(support)
 
@@ -165,7 +168,7 @@ def _oracle_indicators(X, gb, r0):
 def _assert_matches_oracle(A):
     isx = A.isx
     want = _oracle_indicators(A.X, A.gb, A.hd.r0)
-    assert (isx.fs, isx.values, isx.degrees, isx.essential) == want
+    assert (indicator_polys(isx), isx.values, isx.degrees, isx.essential) == want
     assert isx.r0 == A.hd.r0
 
 
@@ -248,7 +251,7 @@ def test_colon_witness_catches_a_wrong_indicator(nine_points):
     """An f_i that is also nonzero at another point trips the re-verification
     of its vanishing pattern."""
     A = Analysis(nine_points.X)
-    A.isx.fs[0] = A.isx.fs[0] + A.isx.fs[1]
+    fs = indicator_polys(A.isx)
     with pytest.raises(InternalInconsistency, match="vanish"):
-        _colon_witness(A, 0)
-    assert _colon_witness(A, 1) == A.isx.fs[1]
+        _colon_witness(A, 0, add(fs[0], fs[1]))
+    assert _colon_witness(A, 1) == indicator_polys(A.isx)[1]

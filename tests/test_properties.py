@@ -3,7 +3,8 @@
 import random
 
 from rmcode.analysis import Analysis
-from interpolation_oracle import code_of_degree
+from groebner_oracle import eval_polys
+from interpolation_oracle import code_of_degree, indicator_polys
 from rmcode.codes import min_distance
 from rmcode.errors import BudgetExceeded
 from rmcode.gf import Field
@@ -85,7 +86,7 @@ def test_indicator_uniqueness_and_span_random():
         hd = hilbert_data(gb, X.m, nvars=s)
         isx = standard_indicators(Analysis(X))
         assert max(isx.degrees) == hd.r0
-        vecs = X.eval_polys(isx.fs)
+        vecs = eval_polys(X, indicator_polys(isx))
         # the indicator matrix is diagonal with nonzero diagonal
         for i in range(m):
             assert vecs[i][i] != 0
